@@ -30,14 +30,11 @@ from .driver import (
     theta_of_front,
 )
 from .front import (
-    Dominance,
     FrontEntry,
     FrontSet,
-    compare,
-    crowding_prune,
     insert_filter,
     is_stable,
-    read_front_csv,
+    nondominated,
     write_front_csv,
 )
 from .hypervolume import (
@@ -88,14 +85,11 @@ __all__ = [
     "run",
     "select_processing_order",
     "theta_of_front",
-    "Dominance",
     "FrontEntry",
     "FrontSet",
-    "compare",
-    "crowding_prune",
     "insert_filter",
     "is_stable",
-    "read_front_csv",
+    "nondominated",
     "write_front_csv",
     "box_gain_lower_bound",
     "hv_monte_carlo",

@@ -13,7 +13,6 @@ line flags override file values. All output files are written atomically.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -26,7 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .driver import TRACE_COLUMNS, FDConfig, RunResult, run
-from .front import SCHEMA_HEADER, read_images_csv, write_front_csv
+from .front import SCHEMA_HEADER, front_csv_text, read_csv, read_images_csv
 from .hypervolume import hypervolume, reference_point_cross_solver
 from .metrics import (
     build_reference_front,
@@ -47,21 +46,8 @@ def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_front(path, front, n, m) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    os.close(fd)
-    try:
-        write_front_csv(front, tmp, n, m)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -180,7 +166,7 @@ def cmd_run(args) -> int:
                 manifest["runs"].append(entry)
                 continue
             wall = time.perf_counter() - t0
-            _atomic_write_front(base + ".front.csv", result.front, n, problem.m)
+            _atomic_write(base + ".front.csv", front_csv_text(result.front, n, problem.m))
             _atomic_write(base + ".trace.csv", _trace_csv_text(result))
             entry.update(
                 status="ok",
@@ -306,15 +292,8 @@ def cmd_profiles(args) -> int:
 
 
 def _read_trace(path: str) -> List[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(row)
-    return rows
+    header, rows = read_csv(path)
+    return [dict(zip(header, row)) for row in rows]
 
 
 def cmd_trace_table(args) -> int:

@@ -3,50 +3,50 @@
 from __future__ import annotations
 
 import csv
-import enum
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional
 
 import numpy as np
 
 __all__ = [
-    "Dominance",
     "FrontEntry",
     "FrontSet",
-    "compare",
+    "nondominated",
     "insert_filter",
     "is_stable",
-    "crowding_prune",
     "write_front_csv",
-    "read_front_csv",
+    "front_csv_text",
+    "read_csv",
+    "read_images_csv",
 ]
 
 SCHEMA_HEADER = "# fd-schema v1"
 
 
-class Dominance(enum.Enum):
-    DOMINATES_STRICTLY = "dominates_strictly"
-    DOMINATES = "dominates"
-    EQUAL = "equal"
-    DOMINATED = "dominated"
-    INCOMPARABLE = "incomparable"
+def nondominated(Y) -> np.ndarray:
+    """Unique rows of Y that no other row dominates, in ``np.unique`` order.
 
-
-def compare(u: np.ndarray, v: np.ndarray) -> Dominance:
-    """Classify the partial-order relation between two objective vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    if np.array_equal(u, v):
-        return Dominance.EQUAL
-    if np.all(u < v):
-        return Dominance.DOMINATES_STRICTLY
-    if np.all(u <= v):
-        return Dominance.DOMINATES
-    if np.all(v <= u):
-        return Dominance.DOMINATED
-    return Dominance.INCOMPARABLE
+    In lexicographic order every dominator of a row comes before it (Kung,
+    Luccio & Preparata 1975) and every earlier row is no worse on f_1, so a
+    row is dominated iff a row kept before it is no worse on f_2..f_m. For two
+    objectives that is a running minimum of f_2.
+    """
+    Y = np.unique(np.atleast_2d(np.asarray(Y, dtype=float)), axis=0)
+    if Y.shape[0] <= 1:
+        return Y
+    if Y.shape[1] == 2:
+        keep = np.empty(Y.shape[0], dtype=bool)
+        keep[0] = True
+        keep[1:] = Y[1:, 1] < np.minimum.accumulate(Y[:-1, 1])
+        return Y[keep]
+    kept = np.empty_like(Y)
+    k = 0
+    for row in Y:
+        if not np.all(kept[:k, 1:] <= row[1:], axis=1).any():
+            kept[k] = row
+            k += 1
+    return kept[:k]
 
 
 @dataclass
@@ -107,23 +107,17 @@ class FrontSet:
         return np.stack([e.x for e in self.entries])
 
     def copy(self) -> "FrontSet":
-        return FrontSet(self.entries)
+        """A set of shallow copies of the entries, so that caching on the
+        copies leaves this set's entries untouched."""
+        return FrontSet(replace(e) for e in self.entries)
 
 
 def is_stable(front: FrontSet) -> bool:
     """True iff no entry's image dominates (<=, with one strict) another's."""
-    k = len(front)
-    if k <= 1:
+    if len(front) <= 1:
         return True
-    F = front.images()
-    for i in range(k):
-        le = np.all(F <= F[i], axis=1)
-        neq = np.any(F != F[i], axis=1)
-        dominators = le & neq
-        dominators[i] = False
-        if dominators.any():
-            return False
-    return True
+    F = np.unique(front.images(), axis=0)
+    return len(nondominated(F)) == len(F)
 
 
 def insert_filter(front: FrontSet, z: FrontEntry) -> FrontSet:
@@ -150,86 +144,45 @@ def insert_filter(front: FrontSet, z: FrontEntry) -> FrontSet:
     return FrontSet(kept)
 
 
-def crowding_prune(front: FrontSet, min_image_gap: np.ndarray) -> FrontSet:
-    """Thin out entries whose image sits within a per-objective gap of a
-    retained neighbor (infinity norm after dividing by the gap vector).
-
-    Extreme entries per objective are always retained. A nonpositive gap is
-    the identity.
-    """
-    gap = np.asarray(min_image_gap, dtype=float)
-    if len(front) <= 2 or np.all(gap <= 0):
-        return front
-    F = front.images()
-    m = F.shape[1]
-    gap = np.broadcast_to(gap, (m,)).copy()
-    gap[gap <= 0] = np.inf  # objective with zero gap never triggers removal
-    keep_idx = set()
-    for j in range(m):
-        keep_idx.add(int(np.argmin(F[:, j])))
-        keep_idx.add(int(np.argmax(F[:, j])))
-    retained: List[int] = sorted(keep_idx)
-    kept_images = F[retained]
-    out = []
-    for i, entry in enumerate(front.entries):
-        if i in keep_idx:
-            out.append(entry)
-            continue
-        dist = np.max(np.abs(kept_images - F[i]) / gap, axis=1)
-        if np.min(dist) < 1.0:
-            continue
-        out.append(entry)
-        kept_images = np.vstack([kept_images, F[i]])
-    return FrontSet(out)
-
-
 def write_front_csv(front: FrontSet, path, n: int, m: int) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(SCHEMA_HEADER + "\n")
-        writer = csv.writer(fh)
+        fh.write(front_csv_text(front, n, m))
+
+
+def front_csv_text(front: FrontSet, n: int, m: int) -> str:
+    """The front CSV: schema line, x/f/provenance header, one row per entry."""
+    buf = io.StringIO()
+    buf.write(SCHEMA_HEADER + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(
+        [f"x_{i + 1}" for i in range(n)]
+        + [f"f_{j + 1}" for j in range(m)]
+        + ["provenance"]
+    )
+    for e in front.entries:
         writer.writerow(
-            [f"x_{i + 1}" for i in range(n)]
-            + [f"f_{j + 1}" for j in range(m)]
-            + ["provenance"]
+            [repr(float(v)) for v in e.x]
+            + [repr(float(v)) for v in e.fx]
+            + [e.provenance]
         )
-        for e in front.entries:
-            writer.writerow(
-                [repr(float(v)) for v in e.x]
-                + [repr(float(v)) for v in e.fx]
-                + [e.provenance]
-            )
+    return buf.getvalue()
 
 
-def read_front_csv(path) -> FrontSet:
-    entries = []
+def read_csv(path) -> tuple:
+    """(header, rows) of a CSV, skipping a leading ``#`` schema line."""
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first.startswith("#"):
             fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader)
-        nx = sum(1 for c in header if c.startswith("x_"))
-        nf = sum(1 for c in header if c.startswith("f_"))
-        for row in reader:
-            x = np.array([float(v) for v in row[:nx]])
-            fx = np.array([float(v) for v in row[nx:nx + nf]])
-            prov = row[nx + nf] if len(row) > nx + nf else "initial"
-            entries.append(FrontEntry(x=x, fx=fx, provenance=prov))
-    return FrontSet(entries)
+        return header, [row for row in reader if row]
 
 
 def read_images_csv(path) -> np.ndarray:
     """Read only the f_1..f_m columns of a front CSV (external solver import)."""
-    rows = []
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.reader(fh)
-        header = next(reader)
-        f_cols = [i for i, c in enumerate(header) if c.startswith("f_")]
-        if not f_cols:
-            raise ValueError(f"{path}: no f_* columns found")
-        for row in reader:
-            rows.append([float(row[i]) for i in f_cols])
-    return np.asarray(rows, dtype=float)
+    header, rows = read_csv(path)
+    f_cols = [i for i, c in enumerate(header) if c.startswith("f_")]
+    if not f_cols:
+        raise ValueError(f"{path}: no f_* columns found")
+    return np.asarray([[float(row[i]) for i in f_cols] for row in rows], dtype=float)

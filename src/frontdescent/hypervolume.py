@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .front import nondominated
+
 __all__ = [
     "reference_point_cross_solver",
     "hypervolume",
@@ -29,17 +31,6 @@ def reference_point_cross_solver(all_images, offset: float = 0.01) -> np.ndarray
     return Y.max(axis=0) + offset
 
 
-def _nondominated_unique(Y: np.ndarray) -> np.ndarray:
-    Y = np.unique(Y, axis=0)
-    keep = []
-    for i in range(Y.shape[0]):
-        le = np.all(Y <= Y[i], axis=1)
-        neq = np.any(Y != Y[i], axis=1)
-        if not np.any(le & neq):
-            keep.append(i)
-    return Y[keep]
-
-
 def hypervolume_2d(images, zeta) -> float:
     """Exact area by a sweep over f_1-sorted nondominated images."""
     Y = np.atleast_2d(np.asarray(images, dtype=float))
@@ -48,10 +39,8 @@ def hypervolume_2d(images, zeta) -> float:
         return 0.0
     if np.any(Y > zeta):
         raise ValueError("every image must be <= the reference point")
-    Y = _nondominated_unique(Y)
-    order = np.argsort(Y[:, 0])
-    Y = Y[order]
-    # nondominated + unique + sorted by f1 ascending => f2 strictly decreasing
+    # nondominated rows come sorted by f1 ascending, so f2 strictly decreases
+    Y = nondominated(Y)
     right = np.append(Y[1:, 0], zeta[0])
     return float(np.sum((right - Y[:, 0]) * (zeta[1] - Y[:, 1])))
 
@@ -64,7 +53,7 @@ def hypervolume_3d(images, zeta) -> float:
         return 0.0
     if np.any(Y > zeta):
         raise ValueError("every image must be <= the reference point")
-    Y = _nondominated_unique(Y)
+    Y = nondominated(Y)
     levels = np.unique(Y[:, 2])
     levels = np.append(levels, zeta[2])
     total = 0.0

@@ -12,6 +12,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from .front import nondominated
+
 __all__ = [
     "build_reference_front",
     "purity",
@@ -24,29 +26,18 @@ __all__ = [
 PROFILE_FAILURE = float("inf")
 
 
-def _nondominated(Y: np.ndarray) -> np.ndarray:
-    Y = np.unique(np.atleast_2d(np.asarray(Y, dtype=float)), axis=0)
-    keep = []
-    for i in range(Y.shape[0]):
-        le = np.all(Y <= Y[i], axis=1)
-        neq = np.any(Y != Y[i], axis=1)
-        if not np.any(le & neq):
-            keep.append(i)
-    return Y[keep]
-
-
 def build_reference_front(image_sets: Sequence[np.ndarray]) -> np.ndarray:
     """Nondominated subset of the pooled images of all solvers."""
     mats = [np.atleast_2d(np.asarray(Y, dtype=float)) for Y in image_sets if np.size(Y)]
     if not mats:
         raise ValueError("need at least one nonempty image set")
-    return _nondominated(np.vstack(mats))
+    return nondominated(np.vstack(mats))
 
 
 def purity(solver_images: np.ndarray, reference_front: np.ndarray) -> float:
     """Fraction of the solver's nondominated images that appear (exactly) in
     the combined reference front."""
-    own = _nondominated(solver_images)
+    own = nondominated(solver_images)
     ref = np.atleast_2d(np.asarray(reference_front, dtype=float))
     if own.shape[0] == 0:
         return 0.0
@@ -73,7 +64,7 @@ def gamma_spread(solver_images: np.ndarray, reference_front=None) -> float:
     included, so a solver covering only part of the front is penalized for the
     uncovered ends.
     """
-    Y = _nondominated(solver_images)
+    Y = nondominated(solver_images)
     Y = _with_extremes(Y, reference_front)
     if Y.shape[0] < 2:
         return 0.0
@@ -106,7 +97,7 @@ def delta_spread(solver_images: np.ndarray, reference_front=None) -> float:
     per-objective orderings are averaged. Boundary distances use the reference
     front's per-objective extreme points (or the solver's own when absent).
     """
-    Y = _nondominated(solver_images)
+    Y = nondominated(solver_images)
     if Y.shape[0] < 2:
         return 1.0
     ref = Y if reference_front is None else np.atleast_2d(

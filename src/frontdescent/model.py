@@ -139,7 +139,8 @@ def hessians(
     """Per-objective Hessians at x.
 
     Uses the analytic evaluators when provided, otherwise central differences
-    of the Jacobian rows with step ``fd_step``. Results are symmetrized.
+    of the Jacobian rows with step ``fd_step``, whose 2n Jacobian evaluations
+    are counted and checked like any other. Results are symmetrized.
     """
     x = np.asarray(x, dtype=float)
     if problem.hessians is not None:
@@ -150,7 +151,9 @@ def hessians(
         for i in range(n):
             e = np.zeros(n)
             e[i] = fd_step
-            cols[i] = (problem.jacobian(x + e) - problem.jacobian(x - e)) / (2.0 * fd_step)
+            cols[i] = (
+                jacobian(problem, x + e, counters) - jacobian(problem, x - e, counters)
+            ) / (2.0 * fd_step)
         H = [cols[:, j, :].T for j in range(problem.m)]
     if counters is not None:
         counters.hessian_evals += 1

@@ -205,6 +205,17 @@ class TestRunInvariants:
         assert res.counters.objective_evals > 0
         assert res.counters.jacobian_evals > 0
 
+    def test_shared_start_counts_like_a_fresh_one(self):
+        p = make_problem("CEC09_1", 10)
+        cfg = FDConfig(variant="bb", max_iterations=3)
+        fresh = run(p, initial_points(p), cfg)
+        X0 = initial_points(p)
+        run(p, X0, FDConfig(variant="sd", max_iterations=3))
+        assert all(e.cached_J is None and e.cached_theta is None for e in X0)
+        after = run(p, X0, cfg)
+        assert after.counters.as_dict() == fresh.counters.as_dict()
+        assert np.array_equal(after.front.images(), fresh.front.images())
+
     def test_deterministic(self):
         p = make_problem("MAN_1", 5)
         cfg = FDConfig(max_iterations=5)

@@ -4,55 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontdescent import (
-    Dominance,
     FrontEntry,
     FrontSet,
-    compare,
-    crowding_prune,
     hypervolume,
     insert_filter,
     is_stable,
-    read_front_csv,
+    nondominated,
     write_front_csv,
 )
+from frontdescent.front import read_csv
 from conftest import front_from_images
 
 
 def entry(*fx):
     f = np.asarray(fx, dtype=float)
     return FrontEntry(x=f.copy(), fx=f)
-
-
-class TestCompare:
-    def test_strict(self):
-        assert compare([0, 0], [1, 1]) is Dominance.DOMINATES_STRICTLY
-
-    def test_weak(self):
-        assert compare([0, 1], [0, 2]) is Dominance.DOMINATES
-
-    def test_incomparable(self):
-        assert compare([0, 1], [1, 0]) is Dominance.INCOMPARABLE
-
-    def test_equal(self):
-        assert compare([1, 2], [1, 2]) is Dominance.EQUAL
-
-    def test_dominated(self):
-        assert compare([1, 1], [0, 0]) is Dominance.DOMINATED
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compare([0, 1], [0, 1, 2])
-
-    @given(
-        st.lists(st.floats(-10, 10), min_size=2, max_size=3),
-        st.lists(st.floats(-10, 10), min_size=2, max_size=3),
-    )
-    def test_antisymmetric(self, u, v):
-        if len(u) != len(v):
-            return
-        dom = {Dominance.DOMINATES, Dominance.DOMINATES_STRICTLY}
-        if compare(u, v) in dom:
-            assert compare(v, u) not in dom
 
 
 class TestInsertFilter:
@@ -127,30 +93,49 @@ class TestIsStable:
     def test_empty(self):
         assert is_stable(FrontSet())
 
+    def test_equal_images_stable(self):
+        assert is_stable(front_from_images([(1, 1), (1, 1)]))
 
-class TestCrowdingPrune:
-    def test_middle_point_removed(self):
-        f = front_from_images([(0, 1), (1e-9, 1 - 1e-9), (1, 0)])
-        out = crowding_prune(f, np.array([1e-6, 1e-6]))
-        assert [tuple(e.fx) for e in out] == [(0, 1), (1, 0)]
+    def test_equal_images_with_a_dominator_unstable(self):
+        assert not is_stable(front_from_images([(1, 1), (1, 1), (0, 1)]))
 
-    def test_zero_gap_identity(self):
-        f = front_from_images([(0, 1), (0.5, 0.5), (1, 0)])
-        assert crowding_prune(f, np.zeros(2)) is f
 
-    def test_two_point_front_identity(self):
-        f = front_from_images([(0, 1), (1, 0)])
-        assert crowding_prune(f, np.array([10.0, 10.0])) is f
+def brute_force_nondominated(Y):
+    """Unique rows of Y that no other row weakly dominates, by all pairs."""
+    U = np.unique(Y, axis=0)
+    keep = [
+        i
+        for i in range(len(U))
+        if not any(np.all(U[j] <= U[i]) for j in range(len(U)) if j != i)
+    ]
+    return U[keep]
 
-    def test_extremes_always_kept(self):
-        f = front_from_images([(0, 1), (0.4, 0.6), (0.5, 0.5), (1, 0)])
-        out = crowding_prune(f, np.array([10.0, 10.0]))
-        images = {tuple(e.fx) for e in out}
-        assert (0, 1) in images and (1, 0) in images
 
-    def test_output_stable(self):
-        f = front_from_images([(0, 1), (0.2, 0.8), (0.21, 0.79), (1, 0)])
-        assert is_stable(crowding_prune(f, np.array([0.05, 0.05])))
+# coarse values so that duplicates and ties in single coordinates are common
+image_rows = st.integers(2, 3).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, -1.0])] * d),
+        min_size=1,
+        max_size=40,
+    )
+)
+
+
+class TestNondominated:
+    @given(image_rows)
+    @settings(max_examples=300)
+    def test_matches_brute_force(self, rows):
+        Y = np.array(rows, dtype=float)
+        out = nondominated(Y)
+        assert np.array_equal(out, brute_force_nondominated(Y))
+
+    def test_lexicographic_order(self):
+        Y = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        assert np.array_equal(nondominated(Y), Y[[1, 2, 0]])
+
+    def test_single_and_empty(self):
+        assert nondominated([1.0, 2.0]).shape == (1, 2)
+        assert nondominated(np.empty((0, 3))).shape == (0, 3)
 
 
 class TestCsvRoundTrip:
@@ -165,10 +150,12 @@ class TestCsvRoundTrip:
         )
         path = tmp_path / "front.csv"
         write_front_csv(f, path, n=2, m=2)
-        back = read_front_csv(path)
-        assert np.array_equal(back.entries[0].x, f.entries[0].x)
-        assert np.array_equal(back.entries[0].fx, f.entries[0].fx)
-        assert back.entries[0].provenance == "exploration((1,))"
+        header, rows = read_csv(path)
+        assert header == ["x_1", "x_2", "f_1", "f_2", "provenance"]
+        assert len(rows) == 1
+        assert np.array_equal([float(v) for v in rows[0][:2]], f.entries[0].x)
+        assert np.array_equal([float(v) for v in rows[0][2:4]], f.entries[0].fx)
+        assert rows[0][4] == "exploration((1,))"
 
     def test_schema_header_written(self, tmp_path):
         path = tmp_path / "front.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,26 @@ class TestHessians:
         H = hessians(p, np.array([0.3, -0.4]))
         assert np.allclose(H[0], 2.0 * np.eye(2), atol=1e-6)
         assert np.allclose(H[1], 2.0 * np.eye(2), atol=1e-6)
+
+    def test_finite_difference_counts_its_jacobians(self):
+        p = make_problem("CEC09_10", 10)
+        assert p.hessians is None
+        c = EvalCounters()
+        hessians(p, np.full(10, 0.3), c)
+        assert c.jacobian_evals == 2 * p.n
+        assert c.hessian_evals == 1
+
+    def test_finite_difference_checks_its_jacobians(self):
+        base = make_problem("CEC09_10", 10)
+        x = np.full(10, 0.3)
+
+        def jac(y):
+            J = base.jacobian(y)
+            return np.full_like(J, np.inf) if y[0] > x[0] else J
+
+        p = dataclasses.replace(base, jacobian=jac)
+        with pytest.raises(EvaluationError):
+            hessians(p, x)
 
     def test_symmetrized(self, rng):
         A = rng.normal(size=(3, 3))

@@ -8,7 +8,6 @@ descent, Newton-type and Barzilai-Borwein direction variants.
 
 from .directions import (
     DirectionResult,
-    DualSolveError,
     bb_direction,
     common_steepest,
     newton_direction,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DirectionResult",
-    "DualSolveError",
     "bb_direction",
     "common_steepest",
     "newton_direction",

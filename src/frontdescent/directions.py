@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "DirectionResult",
-    "DualSolveError",
     "common_steepest",
     "partial_steepest",
     "newton_direction",
@@ -33,14 +32,6 @@ __all__ = [
 ]
 
 ZERO_DIRECTION_TOL = 1e-12
-
-
-class DualSolveError(RuntimeError):
-    """Dual solver hit its iteration cap with too large a KKT residual."""
-
-    def __init__(self, residual: float):
-        super().__init__(f"dual simplex solver did not converge (residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass
@@ -62,32 +53,19 @@ class DirectionResult:
         return float(np.linalg.norm(self.d)) <= ZERO_DIRECTION_TOL
 
 
-def project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sort-based)."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(y) + 1)
-    cond = u - css / ks > 0
-    rho = int(np.max(ks[cond]))
-    tau = css[rho - 1] / rho
-    return np.maximum(y - tau, 0.0)
-
-
 def solve_dual_simplex(
     grads: np.ndarray,
     metrics: Optional[Sequence[np.ndarray]] = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    fail_residual: float = 1e-6,
+    tol: float = 1e-13,
 ) -> tuple:
-    """Maximize the dual over the simplex by projected gradient with backtracking.
+    """Maximize the dual over the unit simplex.
 
-    Returns ``(lam, d, theta, terms)`` where ``terms[j] = g_j' d + (1/2) d' B_j d``.
-    Warm start is uniform weights; for two objectives with the identity metric
-    the clamped closed-form multiplier is used directly.
-
-    Raises DualSolveError if the iteration cap is reached with KKT residual
-    above ``fail_residual``.
+    Returns ``(lam, d, theta, terms)`` where ``terms[j] = g_j' d + (1/2) d' B_j d``
+    is the dual gradient. The identity metric has closed forms for one and two
+    objectives and face enumeration beyond; Newton metrics have a closed form
+    for one objective and an active-set Newton method beyond, whose ``tol``
+    bounds the spread of ``terms`` over the support relative to the largest
+    summand of ``terms``.
     """
     G = np.asarray(grads, dtype=float)
     m = G.shape[0]
@@ -118,159 +96,102 @@ def solve_dual_simplex(
         d = -(lam @ G)
         terms = G @ d + 0.5 * float(d @ d)
         return lam, d, float(np.max(terms)), terms
-    else:
-        B = [np.asarray(b, dtype=float) for b in metrics]
-        if m == 1:
-            d = -np.linalg.solve(B[0], G[0])
-            val = float(G[0] @ d + 0.5 * d @ B[0] @ d)
-            return np.ones(1), d, val, np.array([val])
 
-        def solve(lam):
-            Blam = sum(l * b for l, b in zip(lam, B))
-            c = np.linalg.cholesky(Blam)
-            g = lam @ G
-            return -np.linalg.solve(c.T, np.linalg.solve(c, g))
+    B = np.stack([np.asarray(b, dtype=float) for b in metrics])
+    if m == 1:
+        d = -np.linalg.solve(B[0], G[0])
+        val = float(G[0] @ d + 0.5 * d @ B[0] @ d)
+        return np.ones(1), d, val, np.array([val])
+    lam, d, terms = _active_set_newton(G, B, tol)
+    return lam, d, float(np.max(terms)), terms
 
-        def dual_grad(lam, d):
-            return np.array([G[j] @ d + 0.5 * d @ B[j] @ d for j in range(m)])
 
-        if m == 2:
-            lam = _maximize_dual_m2(solve, dual_grad)
-            d = solve(lam)
-            terms = dual_grad(lam, d)
-            return lam, d, float(np.max(terms)), terms
-        if m == 3:
-            lam = _maximize_dual_m3(solve, dual_grad)
-            d = solve(lam)
-            terms = dual_grad(lam, d)
-            return lam, d, float(np.max(terms)), terms
+_MAX_ACTIVE_SET_STEPS = 100
+_MAX_BACKTRACKS = 60
+_Q_EPS = 1e-13  # rounding of the dual value q, relative to the size of terms
+_RIDGE = 1e-14  # ridge on the support's Hessian, relative to its trace
 
-        L = None
 
-    def dual_value(lam, d):
-        # q(lam) = -(1/2) g(lam)' B(lam)^{-1} g(lam) = (1/2) g(lam)' d
-        return 0.5 * float((lam @ G) @ d)
+def _dual_point(G: np.ndarray, B: np.ndarray, lam: np.ndarray) -> tuple:
+    """(q, d, terms, size, W, L) at lam: the dual value, the primal direction
+    d = -B(lam)^{-1} g(lam), the dual gradient, the largest summand of
+    ``terms`` (the scale of its rounding error), the rows W_j = g_j + B_j d
+    and the Cholesky factor L of B(lam).
 
+    q = -(1/2)||L^{-1} g(lam)||^2 sums no terms of opposite sign, so it keeps
+    full relative precision where lam' terms would cancel.
+    """
+    L = np.linalg.cholesky(np.tensordot(lam, B, axes=1))
+    u = np.linalg.solve(L, lam @ G)
+    d = -np.linalg.solve(L.T, u)
+    Bd = B @ d
+    gd = G @ d
+    half_dBd = 0.5 * (Bd @ d)
+    size = float(np.max(np.abs(gd) + half_dBd))
+    return -0.5 * float(u @ u), d, gd + half_dBd, size, G + Bd, L
+
+
+def _active_set_newton(G: np.ndarray, B: np.ndarray, tol: float) -> tuple:
+    """Maximizer of the concave dual over the unit simplex by a primal
+    active-set Newton method; returns ``(lam, d, terms)``.
+
+    On the support S the dual has gradient ``terms`` and Hessian -Z'Z with
+    Z = L^{-1} W_S'. Each step solves the equality-constrained Newton system
+    [H 1; 1' 0] on S (a tiny ridge keeps H negative definite, so the step
+    ascends), stops at the first weight it would drive negative, which then
+    leaves S, and backtracks so that q never falls beyond its rounding. Once
+    the predicted gain is below that rounding, q can no longer judge a step:
+    the full Newton step is taken and S is stationary. At a stationary point
+    of S the weight with the largest ``terms`` outside S joins it; when none
+    exceeds the support's value the KKT conditions hold.
+    """
+    m = G.shape[0]
     lam = np.full(m, 1.0 / m)
-    d = solve(lam)
-    terms = dual_grad(lam, d)
-    q = dual_value(lam, d)
-    step = 1.0 / L if L and L > 0 else 1.0
-    residual = np.inf
-    for _ in range(max_iter):
-        residual = float(np.max(terms) - lam @ terms)
-        if residual <= tol:
-            break
-        trial_step = step
-        for _bt in range(60):
-            lam_new = project_simplex(lam + trial_step * terms)
-            if np.allclose(lam_new, lam, rtol=0.0, atol=1e-18):
-                break
-            d_new = solve(lam_new)
-            q_new = dual_value(lam_new, d_new)
-            if q_new >= q - 1e-18:
-                break
-            trial_step *= 0.5
-        if np.allclose(lam_new, lam, rtol=0.0, atol=1e-18):
-            # projection is a fixed point: KKT holds up to numerical precision
-            break
-        lam, d, q = lam_new, d_new, q_new
-        terms = dual_grad(lam, d)
-    else:
-        if residual > fail_residual:
-            raise DualSolveError(residual)
-
-    theta = float(np.max(terms))
-    return lam, d, theta, terms
-
-
-_BISECT_ITERS = 60
-
-
-def _maximize_dual_m2(solve, dual_grad) -> np.ndarray:
-    """Maximizer of the concave dual over the 1-simplex by derivative bisection.
-
-    By the envelope theorem the dual gradient is ``terms``, so along
-    lam(t) = (t, 1 - t) the derivative is terms[0] - terms[1], monotone
-    nonincreasing in t; bisection locates its sign change to machine precision.
-    """
-
-    def slope(t: float) -> float:
-        lam = np.array([t, 1.0 - t])
-        terms = dual_grad(lam, solve(lam))
-        return float(terms[0] - terms[1])
-
-    lo, hi = 0.0, 1.0
-    if slope(lo) <= 0.0:
-        return np.array([0.0, 1.0])
-    if slope(hi) >= 0.0:
-        return np.array([1.0, 0.0])
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    return np.array([t, 1.0 - t])
-
-
-def _maximize_dual_m3(solve, dual_grad) -> np.ndarray:
-    """Maximizer of the concave dual over the 2-simplex by nested bisection.
-
-    Parametrize lam(t, s) = (t, (1 - t) s, (1 - t)(1 - s)). For fixed t the
-    slice is a segment, so q is concave in s with derivative proportional to
-    terms[1] - terms[2]; the inner bisection yields s*(t). The value function
-    phi(t) is concave with envelope derivative
-    terms[0] - (s terms[1] + (1 - s) terms[2]) at s = s*(t).
-    """
-
-    def lam_of(t: float, s: float) -> np.ndarray:
-        return np.array([t, (1.0 - t) * s, (1.0 - t) * (1.0 - s)])
-
-    def inner(t: float) -> tuple:
-        def slope(s: float):
-            lam = lam_of(t, s)
-            terms = dual_grad(lam, solve(lam))
-            return float(terms[1] - terms[2]), terms
-
-        sl, terms = slope(0.0)
-        if sl <= 0.0:
-            return 0.0, terms
-        sl, terms = slope(1.0)
-        if sl >= 0.0:
-            return 1.0, terms
-        lo, hi = 0.0, 1.0
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            sl, terms = slope(mid)
-            if sl > 0.0:
-                lo = mid
+    S = np.ones(m, dtype=bool)
+    q, d, terms, size, W, L = _dual_point(G, B, lam)
+    for _ in range(_MAX_ACTIVE_SET_STEPS):
+        s = np.flatnonzero(S)
+        t = terms[s]
+        gap = tol * size
+        stationary = t.max() - t.min() <= gap
+        if not stationary:
+            Z = np.linalg.solve(L, W[s].T)
+            ZZ = Z.T @ Z
+            k = s.size
+            K = np.ones((k + 1, k + 1))
+            K[:k, :k] = -ZZ - _RIDGE * np.trace(ZZ) * np.eye(k)
+            K[k, k] = 0.0
+            p = np.zeros(m)
+            p[s] = np.linalg.solve(K, np.append(-t, 0.0))[:k]
+            rounding = _Q_EPS * size
+            final = 0.5 * float(t @ p[s]) <= rounding
+            neg = s[p[s] < 0.0]
+            ratios = lam[neg] / -p[neg]
+            alpha_max = float(ratios.min()) if neg.size else np.inf
+            alpha = min(1.0, alpha_max)
+            for _bt in range(_MAX_BACKTRACKS):
+                lam_new = lam + alpha * p
+                if alpha == alpha_max:
+                    lam_new[neg[ratios == alpha_max]] = 0.0
+                lam_new = np.maximum(lam_new, 0.0)
+                lam_new /= lam_new.sum()
+                point = _dual_point(G, B, lam_new)
+                if final or point[0] >= q - rounding:
+                    lam = lam_new
+                    q, d, terms, size, W, L = point
+                    stationary = final and bool((lam[s] > 0.0).all())
+                    break
+                alpha *= 0.5
             else:
-                hi = mid
-        s = 0.5 * (lo + hi)
-        lam = lam_of(t, s)
-        return s, dual_grad(lam, solve(lam))
-
-    def outer_slope(t: float) -> float:
-        s, terms = inner(t)
-        return float(terms[0] - (s * terms[1] + (1.0 - s) * terms[2]))
-
-    lo, hi = 0.0, 1.0
-    if outer_slope(lo) <= 0.0:
-        t = 0.0
-    elif outer_slope(hi) >= 0.0:
-        t = 1.0
-    else:
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if outer_slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-    s, _ = inner(t)
-    return lam_of(t, s)
+                stationary = True
+            S &= lam > 0.0
+        if not stationary:
+            continue
+        out = np.flatnonzero(~S)
+        if not out.size or terms[out].max() <= terms[S].max() + gap:
+            break
+        S[out[np.argmax(terms[out])]] = True
+    return lam, d, terms
 
 
 def _min_norm_simplex(G: np.ndarray) -> np.ndarray:

@@ -202,14 +202,16 @@ def _proper_subsets(m: int):
         yield from itertools.combinations(range(m), size)
 
 
-def default_reference_point(problem: ProblemDefinition, X0: FrontSet) -> np.ndarray:
+def default_reference_point(
+    problem: ProblemDefinition, X0: FrontSet, counters: Optional[EvalCounters] = None
+) -> np.ndarray:
     """Fixed per-run reference point: componentwise image maxima plus 10% of
     each objective's initial range.
 
     An objective whose X0 image range is degenerate (e.g. a singleton X0)
     borrows the range of the full hyper-diagonal sample X0 was filtered from,
     falling back to 10% of the magnitude, so the dominated region never has
-    zero measure.
+    zero measure. The sample's evaluations are added to ``counters``.
     """
     from .suite import diagonal_images  # local import avoids a cycle at load time
 
@@ -217,7 +219,7 @@ def default_reference_point(problem: ProblemDefinition, X0: FrontSet) -> np.ndar
     hi = F0.max(axis=0)
     rng = hi - F0.min(axis=0)
     if np.any(rng <= 0):
-        diag = diagonal_images(problem)
+        diag = diagonal_images(problem, counters=counters)
         if diag.size:
             diag_rng = diag.max(axis=0) - diag.min(axis=0)
             rng = np.where(rng > 0, rng, diag_rng)
@@ -246,11 +248,15 @@ def run(
         _cache_entry(problem, e, counters)
 
     if reference_point is None:
-        zeta = default_reference_point(problem, X0)
+        zeta = default_reference_point(problem, X0, counters)
     else:
         zeta = np.asarray(reference_point, dtype=float)
         if np.any(X0.images() > zeta):
             raise ValueError("reference point must dominate every X0 image")
+
+    def out_of_time() -> bool:
+        limit = config.wall_clock_limit
+        return limit is not None and time.perf_counter() - t_start > limit
 
     trace: List[IterationRecord] = []
     refinement_log: List[tuple] = []
@@ -263,8 +269,7 @@ def run(
         if config.max_iterations is not None and k >= config.max_iterations:
             stop_reason = "iteration_cap"
             break
-        elapsed = time.perf_counter() - t_start
-        if config.wall_clock_limit is not None and elapsed > config.wall_clock_limit:
+        if out_of_time():
             stop_reason = "time_cap"
             break
 
@@ -283,11 +288,17 @@ def run(
         img_range = F_now.max(axis=0) - F_now.min(axis=0)
         gap = config.crowding_gap_factor * img_range
 
+        # the time cap is checked before every line search; an iteration it
+        # cuts short still gets its trace row
+        timed_out = False
         for x_c in snapshot:
             if x_c not in front:
                 continue
             theta_c = x_c.cached_theta
             if theta_c < -sigma_k:
+                if out_of_time():
+                    timed_out = True
+                    break
                 d, d_value = _refinement_direction(problem, x_c, config, counters)
                 alpha, xz, fz = armijo_front(
                     problem, x_c.x, x_c.fx, d, d_value, ls_params, counters
@@ -316,6 +327,9 @@ def run(
                 part = dirs.partial_steepest(J_z, I)
                 if part.theta >= -config.exploration_theta_tol:
                     continue
+                if out_of_time():
+                    timed_out = True
+                    break
                 hit = exploration_ls(problem, z.x, part.d, front, ls_params, counters)
                 if hit is None:
                     continue
@@ -341,6 +355,8 @@ def run(
                 n_e += 1
                 if w.cached_theta >= -sigma_k:
                     n_e_stationary += 1
+            if timed_out:
+                break
 
         if config.check_invariants and not is_stable(front):
             raise AssertionError(f"front lost stability at iteration {k}")
@@ -371,7 +387,11 @@ def run(
         )
 
         k += 1
-        # stop-rule priority: caps, then hypervolume, then theta
+        # stop-rule priority: a cut-short iteration, caps, then hypervolume,
+        # then theta
+        if timed_out:
+            stop_reason = "time_cap"
+            break
         if config.max_iterations is not None and k >= config.max_iterations:
             stop_reason = "iteration_cap"
             break

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional
 
@@ -84,6 +85,15 @@ class FrontSet:
         self._ids = {id(e) for e in self.entries}
         self._image_cache: Optional[np.ndarray] = None
 
+    @classmethod
+    def _from_parts(cls, entries: List[FrontEntry], images: np.ndarray, ids: set) -> "FrontSet":
+        """A set whose image stack and id set the caller already holds."""
+        front = cls.__new__(cls)
+        front.entries = entries
+        front._ids = ids
+        front._image_cache = images
+        return front
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -137,11 +147,13 @@ def insert_filter(front: FrontSet, z: FrontEntry) -> FrontSet:
         eq = np.all(F == fz, axis=1)
         if (le & ~eq).any() or eq.any():
             return front
-    # drop entries dominated by z
+    # drop entries dominated by z; the survivors' images and ids carry over
     removes = np.all(fz <= F, axis=1) & np.any(fz != F, axis=1)
-    kept = [e for e, r in zip(front.entries, removes) if not r]
+    kept = list(itertools.compress(front.entries, ~removes))
     kept.append(z)
-    return FrontSet(kept)
+    ids = front._ids.difference(map(id, itertools.compress(front.entries, removes)))
+    ids.add(id(z))
+    return FrontSet._from_parts(kept, np.vstack([F[~removes], fz]), ids)
 
 
 def write_front_csv(front: FrontSet, path, n: int, m: int) -> None:

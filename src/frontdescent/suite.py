@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .front import FrontEntry, FrontSet, insert_filter
-from .model import ProblemDefinition
+from .model import EvalCounters, ProblemDefinition
 
 __all__ = [
     "SuiteEntry",
@@ -468,11 +468,17 @@ def initial_points(problem: ProblemDefinition, count: int | None = None) -> Fron
     return front
 
 
-def _diagonal_samples(problem: ProblemDefinition, count: int | None):
+def _diagonal_samples(
+    problem: ProblemDefinition, count: int | None, counters: EvalCounters | None = None
+):
+    """(x, F(x)) of every hyper-diagonal sample with finite objective and
+    Jacobian; each evaluation made, usable or not, is added to ``counters``."""
     if count is None:
         count = problem.n
     if count < 1:
         raise ValueError("count must be >= 1")
+    if counters is None:
+        counters = EvalCounters()
     ts = [0.5] if count == 1 else [i / (count - 1) for i in range(count)]
     for t in ts:
         x = problem.lower + t * (problem.upper - problem.lower)
@@ -481,7 +487,9 @@ def _diagonal_samples(problem: ProblemDefinition, count: int | None):
             # intermediate invalid-operation warnings are expected noise
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 fx = np.asarray(problem.objective(x), dtype=float)
+                counters.objective_evals += 1
                 J = np.asarray(problem.jacobian(x), dtype=float)
+                counters.jacobian_evals += 1
         except (FloatingPointError, ValueError):
             continue
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
@@ -489,10 +497,15 @@ def _diagonal_samples(problem: ProblemDefinition, count: int | None):
         yield x, fx
 
 
-def diagonal_images(problem: ProblemDefinition, count: int | None = None) -> np.ndarray:
+def diagonal_images(
+    problem: ProblemDefinition,
+    count: int | None = None,
+    counters: EvalCounters | None = None,
+) -> np.ndarray:
     """Images of every usable hyper-diagonal sample, dominated ones included;
-    used to scale the per-run hypervolume reference point."""
-    rows = [fx for _, fx in _diagonal_samples(problem, count)]
+    used to scale the per-run hypervolume reference point. The evaluations
+    are added to ``counters``."""
+    rows = [fx for _, fx in _diagonal_samples(problem, count, counters)]
     if not rows:
         return np.empty((0, problem.m))
     return np.stack(rows)

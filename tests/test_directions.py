@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from frontdescent import (
     bb_direction,
@@ -14,7 +11,6 @@ from frontdescent import (
     spectral_shift,
     update_bb_scalars,
 )
-from frontdescent.directions import project_simplex
 from conftest import closed_form_sd_m2, grid_theta
 
 
@@ -295,20 +291,90 @@ class TestDualSolver:
             assert np.sum(lam) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestProjectSimplex:
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.integers(1, 6),
-            elements=st.floats(-10, 10),
-        )
-    )
-    @settings(max_examples=200)
-    def test_projection_is_feasible(self, y):
-        p = project_simplex(y)
-        assert np.all(p >= 0)
-        assert np.sum(p) == pytest.approx(1.0, abs=1e-9)
+def random_spd(rng, n, lo=0.1, hi=10.0):
+    """Random symmetric matrix with eigenvalues log-uniform in [lo, hi]."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q @ np.diag(np.exp(rng.uniform(np.log(lo), np.log(hi), n))) @ Q.T
 
-    def test_interior_point_fixed(self):
-        y = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_simplex(y), y)
+
+def assert_kkt(G, B, lam, d, theta, terms, rel=1e-9):
+    """lam on the simplex, d = -B(lam)^{-1} g(lam), terms equal on the support
+    and no larger outside it, theta their maximum. Tolerances are relative to
+    the size of terms or, when zero is in the gradient hull and terms vanish,
+    to the single-objective optima g_j' B_j^{-1} g_j."""
+    G = np.asarray(G)
+    vertex = max(float(g @ np.linalg.solve(b, g)) for g, b in zip(G, B))
+    scale = max(float(np.max(np.abs(terms))), vertex)
+    assert np.all(lam >= 0.0) and np.sum(lam) == pytest.approx(1.0, abs=1e-12)
+    Blam = sum(l * b for l, b in zip(lam, B))
+    assert np.allclose(Blam @ d, -(lam @ G), rtol=0.0, atol=1e-9 * np.linalg.norm(lam @ G))
+    expected = np.array([g @ d + 0.5 * d @ b @ d for g, b in zip(G, B)])
+    assert np.allclose(terms, expected, rtol=0.0, atol=1e-12 * scale)
+    support = lam > 0.0
+    assert np.ptp(terms[support]) <= rel * scale
+    assert np.all(terms <= np.max(terms[support]) + rel * scale)
+    assert theta == np.max(terms)
+
+
+class TestNewtonDual:
+    def test_kkt_random_metrics(self, rng):
+        for m in (2, 3, 4):
+            for n in (2, 5, 10):
+                for _ in range(20):
+                    G = rng.normal(size=(m, n))
+                    B = [random_spd(rng, n) for _ in range(m)]
+                    lam, d, theta, terms = solve_dual_simplex(G, metrics=B)
+                    assert_kkt(G, B, lam, d, theta, terms)
+
+    def test_ill_conditioned_matches_grid(self, rng):
+        # spectral_shift of Hessians with one negative eigenvalue gives metric
+        # spectra from kappa = 1e-2 up to about 1e4. The grid misses the
+        # optimum by O(|H| step^2); an m = 3 grid fine enough for that costs
+        # about 2 s, so it gets one draw
+        for m, step, rel, draws in ((2, 1e-4, 1e-6, 3), (3, 2e-3, 1e-3, 1)):
+            for _ in range(draws):
+                n = 6
+                J = rng.normal(size=(m, n))
+                H = []
+                for _ in range(m):
+                    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                    eig = np.concatenate([[-3.0], np.logspace(-1, 4, n - 1)])
+                    H.append(Q @ np.diag(eig) @ Q.T)
+                B = [spectral_shift(0.5 * (h + h.T), 1e-2)[0] for h in H]
+                assert np.linalg.cond(B[0]) > 1e5
+                res = newton_direction(J, H, kappa=1e-2)
+                lam, d, theta, terms = solve_dual_simplex(J, metrics=B)
+                assert_kkt(J, B, lam, d, theta, terms)
+                assert np.array_equal(res.d, d) and res.theta == theta
+                grid = grid_theta(J, step=step, metrics=B)
+                # grid points are feasible dual points, so never above theta
+                assert grid <= theta + 1e-12 * abs(theta)
+                assert theta - grid <= rel * abs(theta)
+
+    def test_vertex_optimum(self):
+        # at d = -B_0^{-1} g_0 objective 0 has the largest term: lam = e_0
+        G = np.array([[1.0, 0.5, 0.0], [2.0, 1.0, 0.5], [1.5, 1.0, -0.1]])
+        B = [np.diag([1.0, 2.0, 3.0]), np.eye(3), np.diag([2.0, 2.0, 1.0])]
+        lam, d, theta, terms = solve_dual_simplex(G, metrics=B)
+        d0 = -np.linalg.solve(B[0], G[0])
+        assert np.array_equal(lam, [1.0, 0.0, 0.0])
+        assert np.allclose(d, d0, rtol=1e-14, atol=0.0)
+        assert theta == pytest.approx(-0.5 * G[0] @ np.linalg.solve(B[0], G[0]), rel=1e-14)
+        assert_kkt(G, B, lam, d, theta, terms)
+
+    def test_edge_optimum(self, rng):
+        # g_2 = 3 g_0 with B_2 = B_0: terms_2 = terms_0 + 2 g_0'd < terms_0
+        # at any descent d, so the optimum is that of objectives 0 and 1
+        n = 4
+        G2 = np.array([[1.0, 1.0, 0.0, 0.5], [-1.0, 1.0, 0.5, 0.0]])
+        B2 = [random_spd(rng, n), random_spd(rng, n)]
+        lam2, d2, theta2, _ = solve_dual_simplex(G2, metrics=B2)
+        assert np.all(lam2 > 0.0)
+        G = np.vstack([G2, 3.0 * G2[0]])
+        B = B2 + [B2[0]]
+        lam, d, theta, terms = solve_dual_simplex(G, metrics=B)
+        assert lam[2] == 0.0
+        assert np.allclose(lam[:2], lam2, rtol=0.0, atol=1e-12)
+        assert np.allclose(d, d2, rtol=1e-9, atol=0.0)
+        assert theta == pytest.approx(theta2, rel=1e-12)
+        assert_kkt(G, B, lam, d, theta, terms)

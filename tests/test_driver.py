@@ -1,3 +1,7 @@
+import dataclasses
+import time
+import types
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from frontdescent import (
     select_processing_order,
     theta_of_front,
 )
+from frontdescent import driver
 from frontdescent.driver import TRACE_COLUMNS
 
 from conftest import quadratic_problem
@@ -112,6 +117,31 @@ class TestReferencePoint:
         zeta = default_reference_point(p, X0)
         assert np.all(zeta > X0.images()[0])
 
+    def test_diagonal_sample_evaluations_counted(self):
+        # a singleton X0 borrows the range of the n hyper-diagonal samples,
+        # whose objective and Jacobian evaluations count against the run
+        raw = make_problem("CEC09_10", 10)
+        calls = {"objective": 0, "jacobian": 0}
+
+        def counted(name):
+            def call(x):
+                calls[name] += 1
+                return getattr(raw, name)(x)
+
+            return call
+
+        p = dataclasses.replace(raw, objective=counted("objective"), jacobian=counted("jacobian"))
+        x = 0.5 * (p.lower + p.upper)
+        X0 = FrontSet([FrontEntry(x=x, fx=p.objective(x))])
+        calls["objective"] = 0
+        cfg = FDConfig(variant="newton", max_iterations=0)
+        res = run(p, X0, cfg)
+        assert res.counters.objective_evals == calls["objective"]
+        assert res.counters.jacobian_evals == calls["jacobian"]
+        given = run(p, X0, cfg, reference_point=res.reference_point)
+        assert res.counters.objective_evals == given.counters.objective_evals + p.n
+        assert res.counters.jacobian_evals == given.counters.jacobian_evals + p.n
+
     def test_explicit_reference_must_dominate_x0(self):
         p = make_problem("JOS_1", 5)
         X0 = initial_points(p)
@@ -138,6 +168,34 @@ class TestStopRules:
         assert len(res.trace) == 1
         assert res.trace[0].n_refinements == 0
         assert res.trace[0].front_size_in == res.trace[0].front_size_out
+
+    def test_time_cap_on_a_growing_front(self):
+        p = make_problem("CEC09_8", 10)
+        t0 = time.perf_counter()
+        res = run(p, initial_points(p), FDConfig(eps_hv=0.0, wall_clock_limit=1.0))
+        assert res.stop_reason == "time_cap"
+        assert time.perf_counter() - t0 < 1.0 + 3.0
+
+    def test_time_cap_holds_within_a_line_search(self, monkeypatch):
+        # a clock that advances 1 ms per objective evaluation makes the
+        # overshoot exact: past the limit, at most the line search under way
+        # finishes, and the cut-short iteration still gets its trace row
+        raw = make_problem("CEC09_8", 10)
+        clock = [0.0]
+
+        def objective(x):
+            clock[0] += 1e-3
+            return raw.objective(x)
+
+        monkeypatch.setattr(driver, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        p = dataclasses.replace(raw, objective=objective)
+        cfg = FDConfig(eps_hv=0.0, wall_clock_limit=2.0)
+        res = run(p, initial_points(raw), cfg)
+        assert res.stop_reason == "time_cap"
+        assert clock[0] <= cfg.wall_clock_limit + (cfg.max_backtracks + 1) * 1e-3
+        assert [r.k for r in res.trace] == list(range(len(res.trace)))
+        assert res.trace[-1].front_size_out == len(res.front)
+        assert res.trace[-1].hypervolume_value == front_hypervolume(res.front, res.reference_point)
 
     def test_zero_iteration_cap(self):
         p = make_problem("JOS_1", 5)

@@ -80,6 +80,20 @@ class TestInsertFilter:
             prev = hv
 
 
+class TestFrontSetCache:
+    def test_images_follow_a_stream_of_inserts(self, rng):
+        f = FrontSet()
+        inserted = []
+        for im in rng.uniform(0.0, 1.0, size=(300, 3)):
+            z = entry(*im)
+            inserted.append(z)
+            f = insert_filter(f, z)
+            assert np.array_equal(f.images(), np.stack([e.fx for e in f.entries]))
+        members = {id(e) for e in f.entries}
+        assert all((z in f) == (id(z) in members) for z in inserted)
+        assert is_stable(f)
+
+
 class TestIsStable:
     def test_stable_pair(self):
         assert is_stable(front_from_images([(0, 2), (2, 0)]))

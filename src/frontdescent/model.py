@@ -84,9 +84,8 @@ class ProblemDefinition:
 
 
 def _check_finite_vector(values: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
+    if not np.isfinite(values).all():
+        idx = int(np.flatnonzero(~np.isfinite(values))[0])
         raise EvaluationError(f"non-finite {what} at index {idx}", index=idx)
 
 

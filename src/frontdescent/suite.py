@@ -248,87 +248,92 @@ def _mmr5(n: int) -> ProblemDefinition:
 
 def _cec09_biobj(name: str, n: int) -> ProblemDefinition:
     """UF1/UF2/UF3/UF7 share the odd/even index split and the 1 - sqrt(x1)
-    style head terms; they differ in the shifted coordinates y_j."""
+    style head terms; they differ in the shifted coordinates y_j.
+
+    Index masks and x-independent terms are built here, once; ``fx`` computes
+    values only, ``jac`` slopes only."""
     js = np.arange(2, n + 1)  # 1-based indices of tail variables
-    odd = js[js % 2 == 1]
-    even = js[js % 2 == 0]
+    odd = js % 2 == 1
+    # (mask, |J_k|, sqrt(j) on J_k) for J_1 (odd j) and J_2 (even j)
+    subsets = [
+        (mask, int(np.count_nonzero(mask)), np.sqrt(js[mask])) for mask in (odd, ~odd)
+    ]
+    phase = js * np.pi / n  # j pi / n
+    head_p = 0.2 if name == "CEC09_7" else 0.5
 
-    def heads(x1):
-        if name == "CEC09_7":
-            h1 = _spow(x1, 0.2)
-            d1 = _dspow(x1, 0.2)
-            return h1, 1.0 - h1, d1, -d1
-        r = _spow(x1, 0.5)
-        d = _dspow(x1, 0.5)
-        return x1, 1.0 - r, 1.0, -d
+    def head_values(x1):
+        r = _spow(x1, head_p)
+        return (r if name == "CEC09_7" else x1), 1.0 - r
 
-    def shifted(x):
-        """y_j and dy_j/dx1 for all tail indices (aligned with js)."""
-        x1 = x[0]
-        xj = x[js - 1]
-        if name in ("CEC09_1", "CEC09_7"):
-            c = 6.0 * np.pi * x1 + js * np.pi / n
-            y = xj - np.sin(c)
-            dy1 = -6.0 * np.pi * np.cos(c)
-        elif name == "CEC09_2":
-            c = 6.0 * np.pi * x1 + js * np.pi / n
-            e = 24.0 * np.pi * x1 + 4.0 * js * np.pi / n
-            b = 0.3 * x1**2 * np.cos(e) + 0.6 * x1
-            db = 0.6 * x1 * np.cos(e) - 7.2 * np.pi * x1**2 * np.sin(e) + 0.6
-            trig = np.where(js % 2 == 1, np.cos(c), np.sin(c))
-            dtrig = np.where(js % 2 == 1, -np.sin(c), np.cos(c)) * 6.0 * np.pi
-            y = xj - b * trig
-            dy1 = -(db * trig + b * dtrig)
-        else:  # CEC09_3
-            p = 0.5 * (1.0 + 3.0 * (js - 2.0) / (n - 2.0))
-            y = xj - np.sign(x1) * np.abs(x1) ** p
-            dy1 = -p * np.abs(x1) ** (p - 1.0) if x1 != 0 else np.full(len(js), -np.inf)
-        return y, dy1
+    def head_slopes(x1):
+        d = _dspow(x1, head_p)
+        return (d if name == "CEC09_7" else 1.0), -d
+
+    if name in ("CEC09_1", "CEC09_7"):
+        def shifted(x, slope):
+            """y_j, and dy_j/dx1 when ``slope``, for all tail indices (aligned with js)."""
+            c = 6.0 * np.pi * x[0] + phase
+            y = x[1:] - np.sin(c)
+            return (y, -6.0 * np.pi * np.cos(c)) if slope else y
+    elif name == "CEC09_2":
+        phase4 = 4.0 * js * np.pi / n
+
+        def shifted(x, slope):
+            x1 = x[0]
+            c = 6.0 * np.pi * x1 + phase
+            e = 24.0 * np.pi * x1 + phase4
+            cos_c, sin_c, cos_e = np.cos(c), np.sin(c), np.cos(e)
+            b = 0.3 * x1**2 * cos_e + 0.6 * x1
+            trig = np.where(odd, cos_c, sin_c)
+            y = x[1:] - b * trig
+            if not slope:
+                return y
+            db = 0.6 * x1 * cos_e - 7.2 * np.pi * x1**2 * np.sin(e) + 0.6
+            dtrig = np.where(odd, -sin_c, cos_c) * 6.0 * np.pi
+            return y, -(db * trig + b * dtrig)
+    else:  # CEC09_3
+        p = 0.5 * (1.0 + 3.0 * (js - 2.0) / (n - 2.0))
+
+        def shifted(x, slope):
+            x1 = x[0]
+            y = x[1:] - np.sign(x1) * np.abs(x1) ** p
+            if not slope:
+                return y
+            return y, (-p * np.abs(x1) ** (p - 1.0) if x1 != 0 else np.full(len(js), -np.inf))
 
     uses_product = name == "CEC09_3"
 
-    def tail(y, sub_mask, sub_js):
-        """Value and d/dy of the tail aggregate over one index subset."""
-        ys = y[sub_mask]
+    def tail_value(ys, size, root):
+        """Tail aggregate over one index subset."""
         if not uses_product:
-            val = 2.0 / len(sub_js) * np.sum(ys**2)
-            dv = np.zeros_like(y)
-            dv[sub_mask] = 4.0 / len(sub_js) * ys
-            return val, dv
-        w = 20.0 * np.pi * ys / np.sqrt(sub_js)
-        prod = np.prod(np.cos(w))
-        val = 2.0 / len(sub_js) * (4.0 * np.sum(ys**2) - 2.0 * prod + 2.0)
-        dv = np.zeros_like(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            prod_others = np.where(
-                np.cos(w) != 0.0, prod / np.cos(w),
-                [np.prod(np.cos(np.delete(w, i))) for i in range(len(w))],
-            )
-        dv[sub_mask] = 2.0 / len(sub_js) * (
-            8.0 * ys + 2.0 * (20.0 * np.pi / np.sqrt(sub_js)) * np.sin(w) * prod_others
-        )
-        return val, dv
+            return 2.0 / size * np.sum(ys**2)
+        prod = np.prod(np.cos(20.0 * np.pi * ys / root))
+        return 2.0 / size * (4.0 * np.sum(ys**2) - 2.0 * prod + 2.0)
 
-    mask1 = js % 2 == 1
-    mask2 = js % 2 == 0
+    def tail_slope(ys, size, root):
+        """d/dy of the tail aggregate on its subset."""
+        if not uses_product:
+            return 4.0 / size * ys
+        w = 20.0 * np.pi * ys / root
+        cos_w = np.cos(w)
+        # the product of the other factors: cos of a finite double is never 0
+        return 2.0 / size * (
+            8.0 * ys + 2.0 * (20.0 * np.pi / root) * np.sin(w) * (np.prod(cos_w) / cos_w)
+        )
 
     def fx(x):
-        y, _ = shifted(x)
-        h1, h2, _, _ = heads(x[0])
-        t1, _ = tail(y, mask1, odd)
-        t2, _ = tail(y, mask2, even)
-        return np.array([h1 + t1, h2 + t2])
+        y = shifted(x, False)
+        h1, h2 = head_values(x[0])
+        (m1, s1, r1), (m2, s2, r2) = subsets
+        return np.array([h1 + tail_value(y[m1], s1, r1), h2 + tail_value(y[m2], s2, r2)])
 
     def jac(x):
-        y, dy1 = shifted(x)
-        h1, h2, dh1, dh2 = heads(x[0])
+        y, dy1 = shifted(x, True)
         J = np.zeros((2, n))
-        for row, (mask, sub, dh) in enumerate(
-            [(mask1, odd, dh1), (mask2, even, dh2)]
-        ):
-            _, dv = tail(y, mask, sub)
-            J[row, 0] = dh + float(np.sum(dv * dy1))
-            J[row, js - 1] = dv  # dy_j/dx_j = 1
+        for row, dh, (mask, size, root) in zip(J, head_slopes(x[0]), subsets):
+            dv = row[1:]  # dy_j/dx_j = 1
+            dv[mask] = tail_slope(y[mask], size, root)
+            row[0] = dh + float(np.sum(dv * dy1))
         return J
 
     lower = np.full(n, -1.0)
@@ -345,56 +350,52 @@ def _cec09_biobj(name: str, n: int) -> ProblemDefinition:
 
 
 def _cec09_triobj(name: str, n: int) -> ProblemDefinition:
-    """UF8/UF10: three objectives, tail indices split into three residue classes."""
+    """UF8/UF10: three objectives, tail indices split into three residue classes.
+
+    Index masks are built here, once; ``fx`` computes values only."""
     js = np.arange(3, n + 1)
-    subsets = [js[(js - 1) % 3 == 0], js[(js - 2) % 3 == 0], js[js % 3 == 0]]
+    # (mask over js, |J_i|, columns of J_i) for J_1, J_2, J_3
+    subsets = [
+        (mask, int(np.count_nonzero(mask)), js[mask] - 1)
+        for mask in ((js - 1) % 3 == 0, (js - 2) % 3 == 0, js % 3 == 0)
+    ]
+    phase = js * np.pi / n  # j pi / n
     quad = name == "CEC09_8"
 
-    def shifted(x):
-        x1, x2 = x[0], x[1]
-        c = 2.0 * np.pi * x1 + js * np.pi / n
-        y = x[js - 1] - 2.0 * x2 * np.sin(c)
-        dy1 = -4.0 * np.pi * x2 * np.cos(c)
-        dy2 = -2.0 * np.sin(c)
-        return y, dy1, dy2
+    def tail_values(y):
+        return y**2 if quad else 4.0 * y**2 - np.cos(8.0 * np.pi * y) + 1.0
 
-    def tail_terms(y):
-        if quad:
-            return y**2, 2.0 * y
-        return 4.0 * y**2 - np.cos(8.0 * np.pi * y) + 1.0, 8.0 * y + 8.0 * np.pi * np.sin(8.0 * np.pi * y)
-
-    def heads(x1, x2):
-        a, b = 0.5 * np.pi * x1, 0.5 * np.pi * x2
-        h = np.array([np.cos(a) * np.cos(b), np.cos(a) * np.sin(b), np.sin(a)])
-        dh1 = 0.5 * np.pi * np.array(
-            [-np.sin(a) * np.cos(b), -np.sin(a) * np.sin(b), np.cos(a)]
-        )
-        dh2 = 0.5 * np.pi * np.array(
-            [-np.cos(a) * np.sin(b), np.cos(a) * np.cos(b), 0.0]
-        )
-        return h, dh1, dh2
+    def tail_slopes(y):
+        return 2.0 * y if quad else 8.0 * y + 8.0 * np.pi * np.sin(8.0 * np.pi * y)
 
     def fx(x):
-        y, _, _ = shifted(x)
-        vals, _ = tail_terms(y)
-        h, _, _ = heads(x[0], x[1])
-        out = h.copy()
-        for i, sub in enumerate(subsets):
-            mask = np.isin(js, sub)
-            out[i] += 2.0 / len(sub) * np.sum(vals[mask])
+        x1, x2 = x[0], x[1]
+        vals = tail_values(x[2:] - 2.0 * x2 * np.sin(2.0 * np.pi * x1 + phase))
+        a, b = 0.5 * np.pi * x1, 0.5 * np.pi * x2
+        cos_a = np.cos(a)
+        out = np.array([cos_a * np.cos(b), cos_a * np.sin(b), np.sin(a)])
+        for i, (mask, size, _) in enumerate(subsets):
+            out[i] += 2.0 / size * np.sum(vals[mask])
         return out
 
     def jac(x):
-        y, dy1, dy2 = shifted(x)
-        vals, dvals = tail_terms(y)
-        h, dh1, dh2 = heads(x[0], x[1])
+        x1, x2 = x[0], x[1]
+        c = 2.0 * np.pi * x1 + phase
+        sin_c = np.sin(c)
+        dvals = tail_slopes(x[2:] - 2.0 * x2 * sin_c)
+        dy1 = -4.0 * np.pi * x2 * np.cos(c)
+        dy2 = -2.0 * sin_c
+        a, b = 0.5 * np.pi * x1, 0.5 * np.pi * x2
+        sin_a, cos_a, sin_b, cos_b = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+        dh1 = 0.5 * np.pi * np.array([-sin_a * cos_b, -sin_a * sin_b, cos_a])
+        dh2 = 0.5 * np.pi * np.array([-cos_a * sin_b, cos_a * cos_b, 0.0])
         J = np.zeros((3, n))
-        for i, sub in enumerate(subsets):
-            mask = np.isin(js, sub)
-            coef = 2.0 / len(sub)
-            J[i, 0] = dh1[i] + coef * np.sum(dvals[mask] * dy1[mask])
-            J[i, 1] = dh2[i] + coef * np.sum(dvals[mask] * dy2[mask])
-            J[i, js[mask] - 1] = coef * dvals[mask]
+        for i, (mask, size, cols) in enumerate(subsets):
+            coef = 2.0 / size
+            dv = dvals[mask]
+            J[i, 0] = dh1[i] + coef * np.sum(dv * dy1[mask])
+            J[i, 1] = dh2[i] + coef * np.sum(dv * dy2[mask])
+            J[i, cols] = coef * dv
         return J
 
     lower = np.full(n, -2.0)

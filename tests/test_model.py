@@ -54,6 +54,7 @@ class TestEvaluate:
         with pytest.raises(EvaluationError) as exc:
             evaluate(p, np.zeros(1))
         assert exc.value.index == 1
+        assert str(exc.value) == "non-finite objective value at index 1"
 
     def test_pure(self, jos1_2, rng):
         x = rng.uniform(-10, 10, 2)

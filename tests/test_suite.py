@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,14 @@ from frontdescent import (
 from frontdescent.suite import SUITE, diagonal_images
 
 ALL_NAMES = sorted(SUITE)
+
+# Returned values of every problem's callables at fixed points, as float.hex,
+# recorded before the CEC09 callables were rewritten to compute values only.
+# Re-record (``python tests/test_suite.py``) only when a formula changes on
+# purpose: every other change must leave these bytes as they are.
+GOLDEN = Path(__file__).with_name("golden_suite.json")
+# fractional parts of sqrt(2), sqrt(3) and sqrt(5): three spread-out points
+_GOLDEN_STEPS = (0.41421356237309515, 0.7320508075688772, 0.2360679774997898)
 
 
 class TestRegistry:
@@ -111,6 +123,20 @@ class TestSpecificValues:
         assert f[1] == pytest.approx(1.0 - np.sqrt(x1), abs=1e-12)
 
 
+class TestCec093ProductSlope:
+    def test_cosine_of_a_double_is_never_zero(self):
+        # CEC09_3's Jacobian takes the product of the other cosine factors as
+        # prod / cos(w_j), which needs cos(w_j) != 0 for every double w_j:
+        # check the doubles at and beside the zeros (k + 1/2) pi of cos
+        x = (np.arange(-20000, 20001) + 0.5) * np.pi
+        near = [x]
+        lo = hi = x
+        for _ in range(8):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            near += [lo, hi]
+        assert np.all(np.cos(np.concatenate(near)) != 0.0)
+
+
 class TestInitialPoints:
     def test_three_point_diagonal(self):
         p = make_problem("MOP_2", 4)
@@ -161,3 +187,45 @@ class TestDiagonalImages:
     def test_includes_dominated_samples(self):
         p = make_problem("JOS_1", 5)
         assert diagonal_images(p).shape[0] > len(initial_points(p))
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
+
+
+def golden_record(name):
+    """float.hex of objective(x) and of each Jacobian row, and a sha256 of the
+    float.hex of the analytic Hessians, at three fixed interior points; n = 10,
+    or the only n the problem admits."""
+    dims = SUITE[name].dims
+    p = make_problem(name, 10 if 10 in dims else dims[0])
+    i = np.arange(1, p.n + 1)
+    out = []
+    for step in _GOLDEN_STEPS:
+        x = p.lower + (0.05 + 0.9 * (i * step % 1.0)) * (p.upper - p.lower)
+        rec = {
+            "objective": _hex(p.objective(x)),
+            "jacobian": [_hex(row) for row in p.jacobian(x)],
+        }
+        if p.hessians is not None:
+            text = " ".join(_hex(p.hessians(x)))
+            rec["hessians_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        out.append(rec)
+    return out
+
+
+class TestGoldenValues:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_values_bitwise_unchanged(self, name, golden):
+        for k, (got, want) in enumerate(zip(golden_record(name), golden[name], strict=True)):
+            assert got == want, f"{name}: point {k}"
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps({name: golden_record(name) for name in ALL_NAMES}, indent=1) + "\n"
+    )

@@ -13,7 +13,6 @@ primal direction is recovered as d = -B(lam)^{-1} g(lam).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -61,11 +60,12 @@ def solve_dual_simplex(
     """Maximize the dual over the unit simplex.
 
     Returns ``(lam, d, theta, terms)`` where ``terms[j] = g_j' d + (1/2) d' B_j d``
-    is the dual gradient. The identity metric has closed forms for one and two
-    objectives and face enumeration beyond; Newton metrics have a closed form
-    for one objective and an active-set Newton method beyond, whose ``tol``
-    bounds the spread of ``terms`` over the support relative to the largest
-    summand of ``terms``.
+    is the dual gradient. One objective, and two under the identity metric,
+    have closed forms; every other dual (the identity metric from three
+    objectives, Newton metrics from two) goes to one active-set Newton method,
+    which for the identity metric is Wolfe's min-norm-point algorithm. Its
+    ``tol`` bounds the spread of ``terms`` over the support relative to the
+    largest summand of ``terms``.
     """
     G = np.asarray(grads, dtype=float)
     m = G.shape[0]
@@ -75,8 +75,8 @@ def solve_dual_simplex(
     if metrics is None:
         if m == 1:
             d = -G[0]
-            lam = np.ones(1)
-            return lam, d, float(G[0] @ d + 0.5 * d @ d), np.array([G[0] @ d + 0.5 * d @ d])
+            val = float(G[0] @ d + 0.5 * d @ d)
+            return np.ones(1), d, val, np.array([val])
         if m == 2:
             g1, g2 = G
             diff = g1 - g2
@@ -91,17 +91,14 @@ def solve_dual_simplex(
             terms = G @ d + 0.5 * float(d @ d)
             theta = float(np.max(terms))
             return lam, d, theta, terms
-        # identity metric, m >= 3: exact min-norm point of the gradient hull
-        lam = _min_norm_simplex(G)
-        d = -(lam @ G)
-        terms = G @ d + 0.5 * float(d @ d)
-        return lam, d, float(np.max(terms)), terms
-
-    B = np.stack([np.asarray(b, dtype=float) for b in metrics])
-    if m == 1:
-        d = -np.linalg.solve(B[0], G[0])
-        val = float(G[0] @ d + 0.5 * d @ B[0] @ d)
-        return np.ones(1), d, val, np.array([val])
+        n = G.shape[1]
+        B = np.broadcast_to(np.eye(n), (m, n, n))
+    else:
+        B = np.stack([np.asarray(b, dtype=float) for b in metrics])
+        if m == 1:
+            d = -np.linalg.solve(B[0], G[0])
+            val = float(G[0] @ d + 0.5 * d @ B[0] @ d)
+            return np.ones(1), d, val, np.array([val])
     lam, d, terms = _active_set_newton(G, B, tol)
     return lam, d, float(np.max(terms)), terms
 
@@ -194,50 +191,16 @@ def _active_set_newton(G: np.ndarray, B: np.ndarray, tol: float) -> tuple:
     return lam, d, terms
 
 
-def _min_norm_simplex(G: np.ndarray) -> np.ndarray:
-    """Exact minimizer of ||lam' G||^2 over the unit simplex.
-
-    The optimum lies in the relative interior of some face, where the
-    equality-constrained KKT system M lam = mu 1, sum(lam) = 1 holds with M
-    the Gram matrix of that face's gradients (mu = 0 exactly when zero lies
-    in the hull). Enumerating faces (2^m - 1 of them, m is small) and keeping
-    the feasible candidate of least norm is exact.
-    """
-    m = G.shape[0]
-    gram = G @ G.T
-    scale = max(1.0, float(np.max(np.abs(gram))))
-    best_n2 = np.inf
-    best_lam = None
-    for size in range(1, m + 1):
-        for S in itertools.combinations(range(m), size):
-            idx = list(S)
-            M = gram[np.ix_(idx, idx)]
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = M
-            kkt[:size, size] = -1.0
-            kkt[size, :size] = 1.0
-            rhs = np.zeros(size + 1)
-            rhs[size] = 1.0
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            w = sol[:size]
-            if float(np.linalg.norm(kkt @ sol - rhs)) > 1e-9 * scale:
-                continue  # no stationary point on this face
-            if np.any(w < -1e-12):
-                continue
-            lam = np.zeros(m)
-            lam[idx] = np.clip(w, 0.0, None)
-            lam /= lam.sum()
-            n2 = float(lam @ gram @ lam)
-            if n2 < best_n2:
-                best_n2 = n2
-                best_lam = lam
-    return best_lam
-
-
-def _zero_guard(d: np.ndarray, theta: float, d_value: float) -> tuple:
+def _result(
+    d: np.ndarray, theta: float, J_rows: np.ndarray, lam: np.ndarray, kind: str
+) -> DirectionResult:
+    """The direction with ``d_value = max(J_rows @ d)``; one of norm at most
+    ZERO_DIRECTION_TOL becomes exactly zero, with theta = d_value = 0."""
     if float(np.linalg.norm(d)) <= ZERO_DIRECTION_TOL:
-        return np.zeros_like(d), 0.0, 0.0
-    return d, theta, d_value
+        d, theta, d_value = np.zeros_like(d), 0.0, 0.0
+    else:
+        d_value = float(np.max(J_rows @ d))
+    return DirectionResult(d=d, theta=theta, d_value=d_value, weights=lam, kind=kind)
 
 
 def common_steepest(J: np.ndarray) -> DirectionResult:
@@ -245,9 +208,7 @@ def common_steepest(J: np.ndarray) -> DirectionResult:
     of the gradients, with theta = -(1/2)||d||^2."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
     lam, d, theta, _ = solve_dual_simplex(J)
-    d_value = float(np.max(J @ d)) if d.size else 0.0
-    d, theta, d_value = _zero_guard(d, theta, d_value)
-    return DirectionResult(d=d, theta=theta, d_value=d_value, weights=lam, kind="common_sd")
+    return _result(d, theta, J, lam, "common_sd")
 
 
 def partial_steepest(J: np.ndarray, I: Sequence[int]) -> DirectionResult:
@@ -257,12 +218,9 @@ def partial_steepest(J: np.ndarray, I: Sequence[int]) -> DirectionResult:
     idx = sorted(set(int(i) for i in I))
     if not idx or len(idx) >= m or min(idx) < 0 or max(idx) >= m:
         raise ValueError(f"I must be a proper nonempty subset of range({m}), got {I}")
-    lam, d, theta, _ = solve_dual_simplex(J[idx])
-    d_value = float(np.max(J[idx] @ d))
-    d, theta, d_value = _zero_guard(d, theta, d_value)
-    return DirectionResult(
-        d=d, theta=theta, d_value=d_value, weights=lam, kind=f"partial_sd({tuple(idx)})"
-    )
+    rows = J[idx]
+    lam, d, theta, _ = solve_dual_simplex(rows)
+    return _result(d, theta, rows, lam, f"partial_sd({tuple(idx)})")
 
 
 def spectral_shift(H: np.ndarray, kappa: float) -> tuple:
@@ -290,9 +248,7 @@ def newton_direction(J: np.ndarray, H: Sequence[np.ndarray], kappa: float) -> Di
             raise ValueError("Hessian input must be symmetric")
         B.append(spectral_shift(0.5 * (h + h.T), kappa)[0])
     lam, d, theta, _ = solve_dual_simplex(J, metrics=B)
-    d_value = float(np.max(J @ d))
-    d, theta, d_value = _zero_guard(d, theta, d_value)
-    return DirectionResult(d=d, theta=theta, d_value=d_value, weights=lam, kind="newton")
+    return _result(d, theta, J, lam, "newton")
 
 
 def bb_direction(J: np.ndarray, a: np.ndarray, a_min: float, a_max: float) -> DirectionResult:
@@ -305,13 +261,9 @@ def bb_direction(J: np.ndarray, a: np.ndarray, a_min: float, a_max: float) -> Di
         raise ValueError("require 0 < a_min <= a_max")
     J = np.atleast_2d(np.asarray(J, dtype=float))
     a = np.clip(np.asarray(a, dtype=float), a_min, a_max)
-    if np.any(a <= 0):
-        raise ValueError("rescaling scalars must be positive")
     lam, d, theta, _ = solve_dual_simplex(J / a[:, None])
     # d_value reports the true worst directional derivative, not the rescaled one
-    d_value = float(np.max(J @ d))
-    d, theta, d_value = _zero_guard(d, theta, d_value)
-    return DirectionResult(d=d, theta=theta, d_value=d_value, weights=lam, kind="bb")
+    return _result(d, theta, J, lam, "bb")
 
 
 def update_bb_scalars(

@@ -290,6 +290,21 @@ class TestDualSolver:
             assert np.all(lam >= -1e-12)
             assert np.sum(lam) == pytest.approx(1.0, abs=1e-12)
 
+    def test_identity_kkt(self, rng):
+        # every third draw repeats a gradient row, every third puts zero in
+        # the gradient hull; n = 2 with m = 3 is MOP_7's shape (m = n + 1)
+        for m in (3, 4, 5):
+            for n in (2, 5, 10):
+                B = [np.eye(n)] * m
+                for k in range(50):
+                    G = rng.normal(size=(m, n))
+                    if k % 3 == 1:
+                        G[-1] = G[0]
+                    elif k % 3 == 2:
+                        G -= rng.dirichlet(np.ones(m)) @ G
+                    lam, d, theta, terms = solve_dual_simplex(G)
+                    assert_kkt(G, B, lam, d, theta, terms)
+
 
 def random_spd(rng, n, lo=0.1, hi=10.0):
     """Random symmetric matrix with eigenvalues log-uniform in [lo, hi]."""

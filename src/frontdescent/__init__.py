@@ -44,7 +44,7 @@ from .hypervolume import (
     hypervolume_3d,
     reference_point_cross_solver,
 )
-from .linesearch import LineSearchError, LineSearchParams, armijo_front, exploration_ls
+from .linesearch import LineSearchError, armijo_front, exploration_ls
 from .metrics import (
     build_reference_front,
     delta_spread,
@@ -96,7 +96,6 @@ __all__ = [
     "hypervolume_3d",
     "reference_point_cross_solver",
     "LineSearchError",
-    "LineSearchParams",
     "armijo_front",
     "exploration_ls",
     "build_reference_front",

@@ -19,7 +19,7 @@ import numpy as np
 from . import directions as dirs
 from .front import FrontEntry, FrontSet, insert_filter, is_stable
 from .hypervolume import hypervolume
-from .linesearch import LineSearchParams, armijo_front, exploration_ls
+from .linesearch import armijo_front, exploration_ls
 from .model import EvalCounters, ProblemDefinition, hessians, jacobian
 
 __all__ = [
@@ -81,14 +81,10 @@ class FDConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.eps_hv < 0 or self.sigma < 0:
             raise ValueError("eps_hv and sigma must be nonnegative")
-
-    def line_search_params(self) -> LineSearchParams:
-        return LineSearchParams(
-            alpha0=self.alpha0,
-            delta=self.delta,
-            gamma=self.gamma,
-            max_backtracks=self.max_backtracks,
-        )
+        if self.alpha0 <= 0:
+            raise ValueError("alpha0 must be positive")
+        if self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be >= 1")
 
     def sigma_at(self, k: int) -> float:
         return self.sigma / (k + 1) if self.sigma_decreasing else self.sigma
@@ -125,8 +121,6 @@ class RunResult:
 
 def _cache_entry(problem, entry: FrontEntry, counters) -> None:
     """Attach Jacobian, steepest descent direction and theta to an entry."""
-    if getattr(entry, "cached_J", None) is not None:
-        return
     J = jacobian(problem, entry.x, counters)
     res = dirs.common_steepest(J)
     entry.cached_J = J
@@ -188,11 +182,10 @@ def _refinement_direction(problem, entry, config, counters):
         else:
             a = np.ones(J.shape[0])
         cand = dirs.bb_direction(J, a, config.a_min, config.a_max)
-    d_value = float(np.max(J @ cand.d))
     if dirs.sdr_check(
-        d_value, float(np.linalg.norm(cand.d)), norm_v, config.gamma1, config.gamma2
+        cand.d_value, float(np.linalg.norm(cand.d)), norm_v, config.gamma1, config.gamma2
     ):
-        return cand.d, d_value
+        return cand.d, cand.d_value
     return v, -(norm_v**2)
 
 
@@ -233,17 +226,21 @@ def run(
     config: FDConfig,
     reference_point: Optional[np.ndarray] = None,
 ) -> RunResult:
-    """Execute the front descent loop from a stable nonempty starting set."""
+    """Execute the front descent loop from a stable nonempty starting set.
+
+    Only the points, images and provenance of X0's entries are used: the run
+    works on fresh entries and evaluates (and counts) their Jacobians, so
+    whatever an earlier run cached on X0 is neither trusted nor touched.
+    """
     if not len(X0):
         raise ValueError("X0 must be nonempty")
     if config.check_invariants and not is_stable(X0):
         raise ValueError("X0 must be a set of mutually nondominated points")
 
     counters = EvalCounters()
-    ls_params = config.line_search_params()
     t_start = time.perf_counter()
 
-    front = X0.copy()
+    front = FrontSet(FrontEntry(e.x, e.fx, e.provenance) for e in X0.entries)
     for e in front.entries:
         _cache_entry(problem, e, counters)
 
@@ -254,54 +251,45 @@ def run(
         if np.any(X0.images() > zeta):
             raise ValueError("reference point must dominate every X0 image")
 
-    def out_of_time() -> bool:
+    def cap_reached(k: int) -> Optional[str]:
+        """The cap that stops the run before iteration k does more work."""
+        if config.max_iterations is not None and k >= config.max_iterations:
+            return "iteration_cap"
         limit = config.wall_clock_limit
-        return limit is not None and time.perf_counter() - t_start > limit
+        if limit is not None and time.perf_counter() - t_start > limit:
+            return "time_cap"
+        return None
 
     trace: List[IterationRecord] = []
     refinement_log: List[tuple] = []
-    stop_reason = None
     last_refinement_iter: Optional[int] = None
     prev_hv = front_hypervolume(front, zeta)
     k = 0
 
     while True:
-        if config.max_iterations is not None and k >= config.max_iterations:
-            stop_reason = "iteration_cap"
-            break
-        if out_of_time():
-            stop_reason = "time_cap"
-            break
-
         sigma_k = config.sigma_at(k)
         size_in = len(front)
         stationary_in = sum(1 for e in front.entries if e.cached_theta >= -sigma_k)
-        order = select_processing_order(front)
-        snapshot = [front.entries[i] for i in order]
-
-        n_r = 0
-        n_e = 0
-        n_e_stationary = 0
+        snapshot = [front.entries[i] for i in select_processing_order(front)]
+        n_r = n_e = n_e_stationary = 0
 
         # per-objective spacing gap for exploration insertions
         F_now = front.images()
-        img_range = F_now.max(axis=0) - F_now.min(axis=0)
-        gap = config.crowding_gap_factor * img_range
+        gap = config.crowding_gap_factor * (F_now.max(axis=0) - F_now.min(axis=0))
 
-        # the time cap is checked before every line search; an iteration it
-        # cuts short still gets its trace row
-        timed_out = False
+        # the caps are checked before every line search; an iteration they
+        # cut short (k = 0 included) still gets its trace row
+        stop = None
         for x_c in snapshot:
             if x_c not in front:
                 continue
-            theta_c = x_c.cached_theta
-            if theta_c < -sigma_k:
-                if out_of_time():
-                    timed_out = True
+            if x_c.cached_theta < -sigma_k:
+                stop = cap_reached(k)
+                if stop:
                     break
                 d, d_value = _refinement_direction(problem, x_c, config, counters)
                 alpha, xz, fz = armijo_front(
-                    problem, x_c.x, x_c.fx, d, d_value, ls_params, counters
+                    problem, x_c.x, x_c.fx, d, d_value, config, counters
                 )
                 z = FrontEntry(x=xz, fx=fz, provenance="refinement")
                 if config.variant == "bb":
@@ -327,25 +315,19 @@ def run(
                 part = dirs.partial_steepest(J_z, I)
                 if part.theta >= -config.exploration_theta_tol:
                     continue
-                if out_of_time():
-                    timed_out = True
+                stop = cap_reached(k)
+                if stop:
                     break
-                hit = exploration_ls(problem, z.x, part.d, front, ls_params, counters)
+                hit = exploration_ls(problem, z.x, part.d, front, config, counters)
                 if hit is None:
                     continue
                 _, xw, fw = hit
                 if np.any(gap > 0):
-                    close = np.max(
-                        np.abs(front.images() - fw)
-                        / np.where(gap > 0, gap, np.inf),
-                        axis=1,
-                    )
-                    if np.min(close) < 1.0:
+                    close = np.abs(front.images() - fw) / np.where(gap > 0, gap, np.inf)
+                    if np.min(np.max(close, axis=1)) < 1.0:
                         continue
                 w = FrontEntry(
-                    x=xw,
-                    fx=fw,
-                    provenance=f"exploration({tuple(i + 1 for i in I)})",
+                    x=xw, fx=fw, provenance=f"exploration({tuple(i + 1 for i in I)})"
                 )
                 new_front = insert_filter(front, w)
                 if w not in new_front:
@@ -355,7 +337,7 @@ def run(
                 n_e += 1
                 if w.cached_theta >= -sigma_k:
                     n_e_stationary += 1
-            if timed_out:
+            if stop:
                 break
 
         if config.check_invariants and not is_stable(front):
@@ -365,7 +347,6 @@ def run(
         if config.check_invariants and hv < prev_hv - 1e-12 * max(1.0, abs(prev_hv)):
             raise AssertionError(f"hypervolume decreased at iteration {k}")
 
-        elapsed = time.perf_counter() - t_start
         trace.append(
             IterationRecord(
                 k=k,
@@ -382,60 +363,31 @@ def run(
                 front_size_out=len(front),
                 theta_value=theta_of_front(front),
                 hypervolume_value=hv,
-                elapsed=elapsed,
-            )
-        )
-
-        k += 1
-        # stop-rule priority: a cut-short iteration, caps, then hypervolume,
-        # then theta
-        if timed_out:
-            stop_reason = "time_cap"
-            break
-        if config.max_iterations is not None and k >= config.max_iterations:
-            stop_reason = "iteration_cap"
-            break
-        if config.wall_clock_limit is not None and elapsed > config.wall_clock_limit:
-            stop_reason = "time_cap"
-            break
-        if (
-            config.eps_hv > 0
-            and prev_hv > 0
-            and (hv - prev_hv) / prev_hv < config.eps_hv
-        ):
-            stop_reason = "hv_improvement"
-            prev_hv = hv
-            break
-        prev_hv = hv
-        if theta_of_front(front) >= -sigma_k and n_e == 0:
-            stop_reason = "theta_threshold"
-            break
-
-    if not trace:
-        # zero-iteration run: record the untouched starting set
-        trace.append(
-            IterationRecord(
-                k=0,
-                front_size_in=len(front),
-                pct_sigma_stationary_in=100.0
-                * sum(1 for e in front.entries if e.cached_theta >= -config.sigma_at(0))
-                / len(front),
-                n_refinements=0,
-                iterations_since_last_refinement=0,
-                n_explorations=0,
-                pct_exploration_sigma_stationary=100.0,
-                front_size_out=len(front),
-                theta_value=theta_of_front(front),
-                hypervolume_value=prev_hv,
                 elapsed=time.perf_counter() - t_start,
             )
         )
+
+        # stop-rule priority: caps, then hypervolume, then theta
+        stop = stop or cap_reached(k + 1)
+        if stop is None:
+            if (
+                config.eps_hv > 0
+                and prev_hv > 0
+                and (hv - prev_hv) / prev_hv < config.eps_hv
+            ):
+                stop = "hv_improvement"
+            elif theta_of_front(front) >= -sigma_k and n_e == 0:
+                stop = "theta_threshold"
+        if stop:
+            break
+        prev_hv = hv
+        k += 1
 
     return RunResult(
         front=front,
         trace=trace,
         counters=counters,
-        stop_reason=stop_reason,
+        stop_reason=stop,
         reference_point=zeta,
         refinements=refinement_log,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -115,11 +115,6 @@ class FrontSet:
         if not self.entries:
             return np.empty((0, 0))
         return np.stack([e.x for e in self.entries])
-
-    def copy(self) -> "FrontSet":
-        """A set of shallow copies of the entries, so that caching on the
-        copies leaves this set's entries untouched."""
-        return FrontSet(replace(e) for e in self.entries)
 
 
 def is_stable(front: FrontSet) -> bool:

@@ -3,33 +3,17 @@ front-relative non-dominance acceptance for exploration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .front import FrontSet
 from .model import EvalCounters, ProblemDefinition, evaluate
 
-__all__ = ["LineSearchParams", "LineSearchError", "armijo_front", "exploration_ls"]
+if TYPE_CHECKING:  # the driver imports this module
+    from .driver import FDConfig
 
-
-@dataclass(frozen=True)
-class LineSearchParams:
-    alpha0: float = 1.0
-    delta: float = 0.5
-    gamma: float = 1e-4
-    max_backtracks: int = 60
-
-    def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if not (0 < self.delta < 1):
-            raise ValueError("delta must lie in (0, 1)")
-        if not (0 < self.gamma < 1):
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
+__all__ = ["LineSearchError", "armijo_front", "exploration_ls"]
 
 
 class LineSearchError(RuntimeError):
@@ -43,7 +27,7 @@ def armijo_front(
     fx: np.ndarray,
     d: np.ndarray,
     d_value: float,
-    params: LineSearchParams,
+    config: FDConfig,
     counters: Optional[EvalCounters] = None,
 ) -> tuple:
     """Largest step alpha0 * delta^h satisfying componentwise sufficient decrease
@@ -55,15 +39,15 @@ def armijo_front(
     """
     if d_value >= 0:
         raise ValueError("armijo_front requires a descent direction (d_value < 0)")
-    alpha = params.alpha0
-    for _ in range(params.max_backtracks + 1):
+    alpha = config.alpha0
+    for _ in range(config.max_backtracks + 1):
         z = x + alpha * d
         fz = evaluate(problem, z, counters)
-        if np.all(fz <= fx + params.gamma * alpha * d_value):
+        if np.all(fz <= fx + config.gamma * alpha * d_value):
             return alpha, z, fz
-        alpha *= params.delta
+        alpha *= config.delta
     raise LineSearchError(
-        f"no acceptable step within {params.max_backtracks} backtracks at x={x}"
+        f"no acceptable step within {config.max_backtracks} backtracks at x={x}"
     )
 
 
@@ -72,7 +56,7 @@ def exploration_ls(
     z: np.ndarray,
     direction: np.ndarray,
     front: FrontSet,
-    params: LineSearchParams,
+    config: FDConfig,
     counters: Optional[EvalCounters] = None,
 ) -> Optional[tuple]:
     """Largest step whose trial point is not weakly dominated by any front member.
@@ -82,12 +66,12 @@ def exploration_ls(
     the backtracking cap is exceeded (the candidate is simply discarded).
     """
     F = front.images()
-    alpha = params.alpha0
-    for _ in range(params.max_backtracks + 1):
+    alpha = config.alpha0
+    for _ in range(config.max_backtracks + 1):
         w = z + alpha * direction
         fw = evaluate(problem, w, counters)
         # not dominated-or-equal by any member: each row must lose somewhere
         if F.size == 0 or np.all(np.any(fw < F, axis=1)):
             return alpha, w, fw
-        alpha *= params.delta
+        alpha *= config.delta
     return None

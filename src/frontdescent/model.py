@@ -22,6 +22,9 @@ __all__ = [
     "gradient_check",
 ]
 
+# central-difference step of the Hessian fallback
+FD_HESSIAN_STEP = 1e-5
+
 
 class EvaluationError(RuntimeError):
     """Raised when an evaluator returns a non-finite value."""
@@ -66,7 +69,6 @@ class ProblemDefinition:
     lower: np.ndarray
     upper: np.ndarray
     hessians: Optional[Callable[[np.ndarray], list]] = None
-    convex: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -133,12 +135,11 @@ def hessians(
     problem: ProblemDefinition,
     x: np.ndarray,
     counters: Optional[EvalCounters] = None,
-    fd_step: float = 1e-5,
 ) -> list:
     """Per-objective Hessians at x.
 
     Uses the analytic evaluators when provided, otherwise central differences
-    of the Jacobian rows with step ``fd_step``, whose 2n Jacobian evaluations
+    of the Jacobian rows with step ``FD_HESSIAN_STEP``, whose 2n Jacobian evaluations
     are counted and checked like any other. Results are symmetrized.
     """
     x = np.asarray(x, dtype=float)
@@ -149,10 +150,10 @@ def hessians(
         cols = np.empty((n, problem.m, n))
         for i in range(n):
             e = np.zeros(n)
-            e[i] = fd_step
+            e[i] = FD_HESSIAN_STEP
             cols[i] = (
                 jacobian(problem, x + e, counters) - jacobian(problem, x - e, counters)
-            ) / (2.0 * fd_step)
+            ) / (2.0 * FD_HESSIAN_STEP)
         H = [cols[:, j, :].T for j in range(problem.m)]
     if counters is not None:
         counters.hessian_evals += 1

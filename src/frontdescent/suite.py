@@ -40,7 +40,6 @@ class SuiteEntry:
     name: str
     dims: tuple
     m: int
-    convex: bool
 
 
 def _spow(x: float, p: float) -> float:
@@ -69,7 +68,7 @@ def _jos1(n: int) -> ProblemDefinition:
 
     return ProblemDefinition(
         name="JOS_1", n=n, m=2, objective=fx, jacobian=jac, hessians=hess,
-        lower=np.full(n, -10.0), upper=np.full(n, 10.0), convex=True,
+        lower=np.full(n, -10.0), upper=np.full(n, 10.0),
     )
 
 
@@ -90,7 +89,7 @@ def _man1(n: int) -> ProblemDefinition:
 
     return ProblemDefinition(
         name="MAN_1", n=n, m=2, objective=fx, jacobian=jac, hessians=hess,
-        lower=np.full(n, -100.0), upper=np.full(n, 100.0), convex=True,
+        lower=np.full(n, -100.0), upper=np.full(n, 100.0),
     )
 
 
@@ -112,7 +111,7 @@ def _slc2(n: int) -> ProblemDefinition:
 
     return ProblemDefinition(
         name="SLC_2", n=n, m=2, objective=fx, jacobian=jac, hessians=hess,
-        lower=np.full(n, -10.0), upper=np.full(n, 10.0), convex=True,
+        lower=np.full(n, -10.0), upper=np.full(n, 10.0),
     )
 
 
@@ -137,7 +136,7 @@ def _mop7() -> ProblemDefinition:
 
     return ProblemDefinition(
         name="MOP_7", n=2, m=3, objective=fx, jacobian=jac,
-        lower=np.full(2, -400.0), upper=np.full(2, 400.0), convex=True,
+        lower=np.full(2, -400.0), upper=np.full(2, 400.0),
     )
 
 
@@ -171,7 +170,7 @@ def _mop2(n: int) -> ProblemDefinition:
 
     return ProblemDefinition(
         name="MOP_2", n=n, m=2, objective=fx, jacobian=jac, hessians=hess,
-        lower=np.full(n, -4.0), upper=np.full(n, 4.0), convex=False,
+        lower=np.full(n, -4.0), upper=np.full(n, 4.0),
     )
 
 
@@ -203,7 +202,7 @@ def _mop3() -> ProblemDefinition:
 
     return ProblemDefinition(
         name="MOP_3", n=2, m=2, objective=fx, jacobian=jac,
-        lower=np.full(2, -np.pi), upper=np.full(2, np.pi), convex=False,
+        lower=np.full(2, -np.pi), upper=np.full(2, np.pi),
     )
 
 
@@ -242,7 +241,7 @@ def _mmr5(n: int) -> ProblemDefinition:
 
     return ProblemDefinition(
         name="MMR_5", n=n, m=2, objective=fx, jacobian=jac,
-        lower=np.full(n, -1.0), upper=np.full(n, 1.0), convex=False,
+        lower=np.full(n, -1.0), upper=np.full(n, 1.0),
     )
 
 
@@ -345,7 +344,7 @@ def _cec09_biobj(name: str, n: int) -> ProblemDefinition:
         upper[:] = 1.0
     return ProblemDefinition(
         name=name, n=n, m=2, objective=fx, jacobian=jac,
-        lower=lower, upper=upper, convex=False,
+        lower=lower, upper=upper,
     )
 
 
@@ -404,24 +403,24 @@ def _cec09_triobj(name: str, n: int) -> ProblemDefinition:
     upper[:2] = 1.0
     return ProblemDefinition(
         name=name, n=n, m=3, objective=fx, jacobian=jac,
-        lower=lower, upper=upper, convex=False,
+        lower=lower, upper=upper,
     )
 
 
 SUITE = {
-    "JOS_1": SuiteEntry("JOS_1", _DIMS_FULL, 2, True),
-    "MAN_1": SuiteEntry("MAN_1", _DIMS_FULL, 2, True),
-    "SLC_2": SuiteEntry("SLC_2", _DIMS_FULL, 2, True),
-    "MOP_2": SuiteEntry("MOP_2", _DIMS_FULL, 2, False),
-    "MOP_3": SuiteEntry("MOP_3", (2,), 2, False),
-    "MOP_7": SuiteEntry("MOP_7", (2,), 3, True),
-    "MMR_5": SuiteEntry("MMR_5", _DIMS_FULL, 2, False),
-    "CEC09_1": SuiteEntry("CEC09_1", _DIMS_CEC, 2, False),
-    "CEC09_2": SuiteEntry("CEC09_2", _DIMS_CEC, 2, False),
-    "CEC09_3": SuiteEntry("CEC09_3", _DIMS_CEC, 2, False),
-    "CEC09_7": SuiteEntry("CEC09_7", _DIMS_CEC, 2, False),
-    "CEC09_8": SuiteEntry("CEC09_8", _DIMS_CEC3OBJ, 3, False),
-    "CEC09_10": SuiteEntry("CEC09_10", _DIMS_CEC3OBJ, 3, False),
+    "JOS_1": SuiteEntry("JOS_1", _DIMS_FULL, 2),
+    "MAN_1": SuiteEntry("MAN_1", _DIMS_FULL, 2),
+    "SLC_2": SuiteEntry("SLC_2", _DIMS_FULL, 2),
+    "MOP_2": SuiteEntry("MOP_2", _DIMS_FULL, 2),
+    "MOP_3": SuiteEntry("MOP_3", (2,), 2),
+    "MOP_7": SuiteEntry("MOP_7", (2,), 3),
+    "MMR_5": SuiteEntry("MMR_5", _DIMS_FULL, 2),
+    "CEC09_1": SuiteEntry("CEC09_1", _DIMS_CEC, 2),
+    "CEC09_2": SuiteEntry("CEC09_2", _DIMS_CEC, 2),
+    "CEC09_3": SuiteEntry("CEC09_3", _DIMS_CEC, 2),
+    "CEC09_7": SuiteEntry("CEC09_7", _DIMS_CEC, 2),
+    "CEC09_8": SuiteEntry("CEC09_8", _DIMS_CEC3OBJ, 3),
+    "CEC09_10": SuiteEntry("CEC09_10", _DIMS_CEC3OBJ, 3),
 }
 
 _BUILDERS = {

@@ -80,7 +80,7 @@ def quadratic_problem(c=(1.0,), shift=(0.0,), n=1):
 
     return ProblemDefinition(
         name="quad", n=n, m=m, objective=fx, jacobian=jac, hessians=hess,
-        lower=np.full(n, -10.0), upper=np.full(n, 10.0), convex=True,
+        lower=np.full(n, -10.0), upper=np.full(n, 10.0),
     )
 
 

@@ -95,6 +95,16 @@ class TestRun:
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [{"alpha0": 0}, {"max_backtracks": 0}])
+    def test_bad_line_search_constant_exits_2_before_writing(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [["JOS_1", 5]], "solver": bad}))
+        out = tmp_path / "res"
+        code = run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_missing_n_exits_2(self, tmp_path):
         assert run_cli("run", "--problem", "JOS_1", "--out", str(tmp_path / "r")) == 2
 

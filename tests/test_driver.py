@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from frontdescent import (
+    EvalCounters,
     FDConfig,
     FrontEntry,
     FrontSet,
@@ -51,6 +52,11 @@ class TestConfig:
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
             FDConfig(sigma=-1.0)
+
+    @pytest.mark.parametrize("bad", [{"alpha0": 0.0}, {"alpha0": -1.0}, {"max_backtracks": 0}])
+    def test_bad_line_search_constant(self, bad):
+        with pytest.raises(ValueError):
+            FDConfig(**bad)
 
     def test_sigma_schedule(self):
         c = FDConfig(sigma=1e-2, sigma_decreasing=True)
@@ -161,13 +167,40 @@ class TestPartialThetaExample:
 
 
 class TestStopRules:
+    @staticmethod
+    def assert_untouched_start(res, cfg, p, X0):
+        # a run capped at k = 0 evaluates nothing past the starting set's
+        # Jacobians and the reference point's samples, and records the
+        # starting set in its one trace row
+        assert np.array_equal(res.front.images(), X0.images())
+        setup = EvalCounters()
+        default_reference_point(p, X0, setup)
+        assert res.counters.objective_evals == setup.objective_evals
+        assert res.counters.jacobian_evals == setup.jacobian_evals + len(X0)
+        (rec,) = res.trace
+        n = len(res.front)
+        stationary = sum(1 for e in res.front if e.cached_theta >= -cfg.sigma_at(0))
+        assert rec.row() == [
+            0,
+            n,
+            100.0 * stationary / n,
+            0,
+            0,
+            0,
+            100.0,
+            n,
+            theta_of_front(res.front),
+            front_hypervolume(res.front, res.reference_point),
+        ]
+        assert res.refinements == []
+
     def test_zero_iteration_time_cap(self):
         p = make_problem("JOS_1", 5)
-        res = run(p, initial_points(p), FDConfig(wall_clock_limit=0.0))
+        X0 = initial_points(p)
+        cfg = FDConfig(wall_clock_limit=0.0, sigma=1e-2, sigma_decreasing=True)
+        res = run(p, X0, cfg)
         assert res.stop_reason == "time_cap"
-        assert len(res.trace) == 1
-        assert res.trace[0].n_refinements == 0
-        assert res.trace[0].front_size_in == res.trace[0].front_size_out
+        self.assert_untouched_start(res, cfg, p, X0)
 
     def test_time_cap_on_a_growing_front(self):
         p = make_problem("CEC09_8", 10)
@@ -199,9 +232,11 @@ class TestStopRules:
 
     def test_zero_iteration_cap(self):
         p = make_problem("JOS_1", 5)
-        res = run(p, initial_points(p), FDConfig(max_iterations=0))
+        X0 = initial_points(p)
+        cfg = FDConfig(max_iterations=0, sigma=1e-2, sigma_decreasing=True)
+        res = run(p, X0, cfg)
         assert res.stop_reason == "iteration_cap"
-        assert len(res.trace) == 1
+        self.assert_untouched_start(res, cfg, p, X0)
 
     def test_theta_threshold_on_common_minimum(self):
         # both objectives minimized at the same point: nothing to refine or explore
@@ -273,6 +308,21 @@ class TestRunInvariants:
         after = run(p, X0, cfg)
         assert after.counters.as_dict() == fresh.counters.as_dict()
         assert np.array_equal(after.front.images(), fresh.front.images())
+
+    def test_warm_start_counts_like_fresh_entries(self):
+        # a finished front's cached Jacobians, thetas and BB histories are
+        # neither trusted nor left uncounted by the next run
+        p = make_problem("JOS_1", 5)
+        res = run(p, initial_points(p), FDConfig(variant="sd", max_iterations=3))
+        assert all(e.cached_J is not None for e in res.front)
+        cfg = FDConfig(variant="bb", max_iterations=2)
+        warm = run(p, res.front, cfg)
+        fresh = run(
+            p, FrontSet(FrontEntry(e.x, e.fx, e.provenance) for e in res.front), cfg
+        )
+        assert warm.counters.as_dict() == fresh.counters.as_dict()
+        assert np.array_equal(warm.front.images(), fresh.front.images())
+        assert [r.row() for r in warm.trace] == [r.row() for r in fresh.trace]
 
     def test_deterministic(self):
         p = make_problem("MAN_1", 5)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from frontdescent import (
+    FDConfig,
     FrontEntry,
     FrontSet,
     LineSearchError,
-    LineSearchParams,
     armijo_front,
     evaluate,
     exploration_ls,
@@ -23,33 +23,33 @@ def quad():
 
 class TestArmijoFront:
     def test_full_step_accepted(self, quad):
-        params = LineSearchParams(alpha0=1.0, delta=0.5, gamma=1e-4)
+        cfg = FDConfig(alpha0=1.0, delta=0.5, gamma=1e-4)
         x = np.array([1.0])
-        alpha, z, fz = armijo_front(quad, x, evaluate(quad, x), np.array([-1.0]), -1.0, params)
+        alpha, z, fz = armijo_front(quad, x, evaluate(quad, x), np.array([-1.0]), -1.0, cfg)
         assert alpha == 1.0
         assert z[0] == 0.0
         assert np.allclose(fz, 0.0)
 
     def test_one_backtrack(self, quad):
-        params = LineSearchParams(alpha0=1.0, delta=0.5, gamma=1e-4)
+        cfg = FDConfig(alpha0=1.0, delta=0.5, gamma=1e-4)
         x = np.array([1.0])
-        alpha, z, _ = armijo_front(quad, x, evaluate(quad, x), np.array([-3.0]), -3.0, params)
+        alpha, z, _ = armijo_front(quad, x, evaluate(quad, x), np.array([-3.0]), -3.0, cfg)
         assert alpha == 0.5
         assert z[0] == pytest.approx(-0.5)
 
     def test_nonnegative_d_value_rejected(self, quad):
-        params = LineSearchParams()
+        cfg = FDConfig()
         with pytest.raises(ValueError):
-            armijo_front(quad, np.array([1.0]), np.array([0.5, 0.5]), np.array([1.0]), 0.0, params)
+            armijo_front(quad, np.array([1.0]), np.array([0.5, 0.5]), np.array([1.0]), 0.0, cfg)
 
     def test_cap_exceeded_raises(self, quad):
         # ascent direction with a lying d_value never satisfies the condition
-        params = LineSearchParams(max_backtracks=5)
+        cfg = FDConfig(max_backtracks=5)
         with pytest.raises(LineSearchError):
-            armijo_front(quad, np.array([1.0]), np.array([0.5, 0.5]), np.array([1.0]), -1.0, params)
+            armijo_front(quad, np.array([1.0]), np.array([0.5, 0.5]), np.array([1.0]), -1.0, cfg)
 
     def test_accepted_step_satisfies_inequality(self, quad, rng):
-        params = LineSearchParams()
+        cfg = FDConfig()
         for _ in range(20):
             x = rng.uniform(-5, 5, 1)
             if abs(x[0]) < 1e-8:
@@ -57,16 +57,16 @@ class TestArmijoFront:
             fx = evaluate(quad, x)
             d = np.array([-x[0]])  # exact Newton step for f = x^2/2
             d_value = float(x[0] * d[0])
-            alpha, z, fz = armijo_front(quad, x, fx, d, d_value, params)
-            assert np.all(fz <= fx + params.gamma * alpha * d_value)
+            alpha, z, fz = armijo_front(quad, x, fx, d, d_value, cfg)
+            assert np.all(fz <= fx + cfg.gamma * alpha * d_value)
 
 
 class TestExplorationLs:
     def test_singleton_front_accepts_full_step(self, quad):
-        params = LineSearchParams()
+        cfg = FDConfig()
         z = np.array([1.0])
         front = FrontSet([FrontEntry(x=z, fx=evaluate(quad, z))])
-        hit = exploration_ls(quad, z, np.array([-1.0]), front, params)
+        hit = exploration_ls(quad, z, np.array([-1.0]), front, cfg)
         assert hit is not None
         alpha, w, fw = hit
         assert alpha == 1.0
@@ -85,7 +85,7 @@ class TestExplorationLs:
 
         front = front_of(0.0, 2.0)  # images (0, 4) and (4, 0)
         z = np.array([0.0])
-        hit = exploration_ls(prob, z, np.array([1.0]), front, LineSearchParams())
+        hit = exploration_ls(prob, z, np.array([1.0]), front, FDConfig())
         assert hit is not None
         _, w, fw = hit
         assert w[0] == 1.0
@@ -93,16 +93,16 @@ class TestExplorationLs:
 
     def test_duplicate_image_backtracks(self, quad):
         # a zero direction reproduces z's own image forever: no strict win exists
-        params = LineSearchParams(max_backtracks=3)
+        cfg = FDConfig(max_backtracks=3)
         z = np.array([1.0])
         front = FrontSet([FrontEntry(x=z, fx=evaluate(quad, z))])
-        assert exploration_ls(quad, z, np.zeros(1), front, params) is None
+        assert exploration_ls(quad, z, np.zeros(1), front, cfg) is None
 
     def test_result_not_dominated_by_front(self, quad, rng):
-        params = LineSearchParams()
+        cfg = FDConfig()
         z = np.array([0.5])
         front = FrontSet([FrontEntry(x=z, fx=evaluate(quad, z))])
-        hit = exploration_ls(quad, z, np.array([-0.5]), front, params)
+        hit = exploration_ls(quad, z, np.array([-0.5]), front, cfg)
         assert hit is not None
         _, _, fw = hit
         F = front.images()

@@ -80,6 +80,8 @@ __all__ = [
     "IterationRecord",
     "RunResult",
     "compute_iteration_bound",
+    "default_reference_point",
+    "front_hypervolume",
     "run",
     "select_processing_order",
     "theta_of_front",

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .driver import TRACE_COLUMNS, FDConfig, RunResult, run
+from .driver import TRACE_COLUMNS, VARIANTS, FDConfig, RunResult, run
 from .front import SCHEMA_HEADER, front_csv_text, read_csv, read_images_csv
 from .hypervolume import hypervolume, reference_point_cross_solver
 from .metrics import (
@@ -39,7 +39,15 @@ from .suite import initial_points, list_problems, make_problem
 
 __all__ = ["main"]
 
-VARIANTS = ("sd", "newton", "bb")
+CONFIG_KEYS = {"instances", "variants", "solver", "time_limit", "out", "initial_points"}
+
+# metric name -> f(images, pooled reference front, cross-solver reference point)
+METRICS = {
+    "purity": lambda Y, ref, zeta: purity(Y, ref),
+    "hypervolume": lambda Y, ref, zeta: hypervolume(Y, zeta),
+    "gamma_spread": lambda Y, ref, zeta: gamma_spread(Y, ref),
+    "delta_spread": lambda Y, ref, zeta: delta_spread(Y, ref),
+}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -65,24 +73,21 @@ def _trace_csv_text(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _instance_key(problem: str, n: int) -> str:
-    return f"{problem}_n{n}"
+def _write_json(path: str, obj) -> None:
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _artifact_base(out_dir: str, problem: str, n: int, variant: str) -> str:
-    return os.path.join(out_dir, f"{_instance_key(problem, n)}__{variant}")
+def _pool(fronts) -> tuple:
+    """Reference front and cross-solver reference point of the pooled images."""
+    fronts = list(fronts)
+    return build_reference_front(fronts), reference_point_cross_solver(np.vstack(fronts))
 
 
-def _fd_config(overrides: dict, variant: str, time_limit) -> FDConfig:
-    fields = {f.name for f in dataclasses.fields(FDConfig)}
-    kw = {k: v for k, v in overrides.items() if k in fields}
-    unknown = set(overrides) - fields
+def _fd_config(solver: dict, variant: str) -> FDConfig:
+    unknown = set(solver) - {f.name for f in dataclasses.fields(FDConfig)}
     if unknown:
         raise ValueError(f"unknown solver parameter(s): {sorted(unknown)}")
-    kw["variant"] = variant
-    if time_limit is not None:
-        kw["wall_clock_limit"] = float(time_limit)
-    return FDConfig(**kw)
+    return FDConfig(**{**solver, "variant": variant})
 
 
 def _load_config(args) -> dict:
@@ -90,20 +95,24 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        unknown = set(cfg) - CONFIG_KEYS
+        if unknown:
+            raise ValueError(f"unknown config key(s): {sorted(unknown)}")
     if args.problem is not None:
         if args.n is None:
             raise ValueError("--problem requires --n")
         cfg["instances"] = [[args.problem, int(args.n)]]
     if args.variant is not None:
         cfg["variants"] = [args.variant]
+    # command line flags override the file; time_limit overrides wall_clock_limit
+    time_limit = args.time_limit if args.time_limit is not None else cfg.get("time_limit")
     solver = dict(cfg.get("solver", {}))
-    if args.sigma is not None:
-        solver["sigma"] = float(args.sigma)
-    if args.eps_hv is not None:
-        solver["eps_hv"] = float(args.eps_hv)
+    for key, value in (
+        ("sigma", args.sigma), ("eps_hv", args.eps_hv), ("wall_clock_limit", time_limit)
+    ):
+        if value is not None:
+            solver[key] = float(value)
     cfg["solver"] = solver
-    if args.time_limit is not None:
-        cfg["time_limit"] = float(args.time_limit)
     if args.out is not None:
         cfg["out"] = args.out
     cfg.setdefault("variants", ["sd"])
@@ -112,108 +121,69 @@ def _load_config(args) -> dict:
 
 
 def cmd_run(args) -> int:
+    # every problem, starting set and config is built here, so that config
+    # errors fail before any run
     try:
         cfg = _load_config(args)
         instances = [(str(p), int(n)) for p, n in cfg.get("instances", [])]
         if not instances:
             raise ValueError("no instances configured (use --problem/--n or a config file)")
-        deduped = list(dict.fromkeys(instances))
-        if len(deduped) < len(instances):
+        if len(set(instances)) < len(instances):
             warnings.warn("duplicate instances in config were deduplicated")
-        instances = deduped
-        variants = list(dict.fromkeys(cfg["variants"]))
-        for v in variants:
-            if v not in VARIANTS:
-                raise ValueError(f"unknown variant {v!r}")
+        configs = [_fd_config(cfg["solver"], v) for v in dict.fromkeys(cfg["variants"])]
+        starts = []
+        for pname, n in dict.fromkeys(instances):
+            problem = make_problem(pname, n)
+            starts.append((problem, initial_points(problem, cfg.get("initial_points"))))
         out_dir = cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
         if not os.access(out_dir, os.W_OK):
             raise PermissionError(f"output directory {out_dir!r} is not writable")
-        # validate instances and solver parameters up front: config errors
-        # must fail before any run
-        for pname, n in instances:
-            make_problem(pname, n)
-        for v in variants:
-            _fd_config(cfg["solver"], v, cfg.get("time_limit"))
     except Exception as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    external = [read_images_csv(p) for p in cfg.get("external_fronts", [])]
-    time_limit = cfg.get("time_limit")
     manifest = {"solver_parameters": {}, "runs": []}
-    outputs: Dict[str, Dict[str, np.ndarray]] = {}
-    run_meta: Dict[tuple, dict] = {}
-
-    for pname, n in instances:
-        problem = make_problem(pname, n)
-        X0 = initial_points(problem, cfg.get("initial_points"))
-        for variant in variants:
-            fdcfg = _fd_config(cfg["solver"], variant, time_limit)
-            base = _artifact_base(out_dir, pname, n, variant)
+    for problem, X0 in starts:
+        done = []
+        for fdcfg in configs:
+            base = os.path.join(out_dir, f"{problem.name}_n{problem.n}__{fdcfg.variant}")
             entry = {
-                "problem": pname,
-                "n": n,
-                "variant": variant,
+                "problem": problem.name,
+                "n": problem.n,
+                "variant": fdcfg.variant,
                 "artifacts": os.path.basename(base),
             }
+            manifest["runs"].append(entry)
             t0 = time.perf_counter()
             try:
                 result = run(problem, X0, fdcfg)
             except Exception as exc:
-                entry["status"] = "failed"
-                entry["error"] = f"{type(exc).__name__}: {exc}"
-                manifest["runs"].append(entry)
+                entry.update(status="failed", error=f"{type(exc).__name__}: {exc}")
                 continue
             wall = time.perf_counter() - t0
-            _atomic_write(base + ".front.csv", front_csv_text(result.front, n, problem.m))
+            _atomic_write(base + ".front.csv", front_csv_text(result.front, problem.n, problem.m))
             _atomic_write(base + ".trace.csv", _trace_csv_text(result))
+            evals = result.counters.as_dict()
             entry.update(
                 status="ok",
                 stop_reason=result.stop_reason,
                 wall_time=wall,
                 iterations=len(result.trace),
                 front_size=len(result.front),
-                evals=result.counters.as_dict(),
+                evals=evals,
             )
-            manifest["runs"].append(entry)
-            manifest["solver_parameters"][variant] = dataclasses.asdict(fdcfg)
-            outputs.setdefault(_instance_key(pname, n), {})[variant] = result.front.images()
-            run_meta[(pname, n, variant)] = {
-                "wall_time": wall,
-                "evals": result.counters.as_dict(),
-            }
+            manifest["solver_parameters"][fdcfg.variant] = dataclasses.asdict(fdcfg)
+            done.append((base, result.front.images(), {"evals": evals, "wall_time": wall}))
 
-    # cross-run metrics: reference front pools every variant plus external imports
-    for pname, n in instances:
-        key = _instance_key(pname, n)
-        per_variant = outputs.get(key, {})
-        if not per_variant:
-            continue
-        pool = list(per_variant.values()) + [e for e in external if e.shape[1] == next(
-            iter(per_variant.values())
-        ).shape[1]]
-        ref = build_reference_front(pool)
-        zeta = reference_point_cross_solver(np.vstack(pool))
-        for variant, images in per_variant.items():
-            inside = images[np.all(images <= zeta, axis=1)]
-            metrics = {
-                "purity": purity(images, ref),
-                "gamma_spread": gamma_spread(images, ref),
-                "delta_spread": delta_spread(images, ref),
-                "hypervolume": hypervolume(inside, zeta) if inside.size else 0.0,
-                "evals": run_meta[(pname, n, variant)]["evals"],
-                "wall_time": run_meta[(pname, n, variant)]["wall_time"],
-            }
-            _atomic_write(
-                _artifact_base(out_dir, pname, n, variant) + ".metrics.json",
-                json.dumps(metrics, indent=2, sort_keys=True) + "\n",
-            )
+        # cross-run metrics against the reference front pooled over the variants
+        if done:
+            ref, zeta = _pool(images for _, images, _ in done)
+            for base, images, costs in done:
+                scores = {name: f(images, ref, zeta) for name, f in METRICS.items()}
+                _write_json(base + ".metrics.json", {**scores, **costs})
 
-    _atomic_write(
-        os.path.join(out_dir, "manifest.json"),
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     n_failed = sum(1 for r in manifest["runs"] if r["status"] != "ok")
     print(
         f"completed {len(manifest['runs']) - n_failed}/{len(manifest['runs'])} runs "
@@ -243,42 +213,29 @@ def _collect_fronts(dirs: List[str]) -> Dict[str, Dict[str, np.ndarray]]:
 
 
 def cmd_profiles(args) -> int:
-    by_instance = _collect_fronts(args.results)
     shared = {
-        inst: fronts for inst, fronts in by_instance.items() if len(fronts) >= 2
+        inst: fronts for inst, fronts in _collect_fronts(args.results).items() if len(fronts) >= 2
     }
     if not shared:
         print("error: need >= 2 solvers with overlapping instances", file=sys.stderr)
         return 2
 
+    score = METRICS[args.metric]
     costs = []
     for inst in sorted(shared):
         fronts = shared[inst]
-        pool = list(fronts.values())
-        ref = build_reference_front(pool)
-        if args.metric == "purity":
-            values = {s: purity(Y, ref) for s, Y in fronts.items()}
-        elif args.metric == "hypervolume":
-            zeta = reference_point_cross_solver(np.vstack(pool))
-            values = {s: hypervolume(Y, zeta) for s, Y in fronts.items()}
-            costs.append(
-                profile_preprocess("hypervolume", values, v_ref=hypervolume(ref, zeta))
-            )
-            continue
-        elif args.metric == "gamma_spread":
-            values = {s: gamma_spread(Y, ref) for s, Y in fronts.items()}
-        else:
-            values = {s: delta_spread(Y, ref) for s, Y in fronts.items()}
-        costs.append(profile_preprocess(args.metric, values))
+        ref, zeta = _pool(fronts.values())
+        values = {s: score(Y, ref, zeta) for s, Y in fronts.items()}
+        # hypervolume costs are measured from the reference front's volume
+        kw = {"v_ref": hypervolume(ref, zeta)} if args.metric == "hypervolume" else {}
+        costs.append(profile_preprocess(args.metric, values, **kw))
 
     curves = performance_profiles(costs)
     payload = {
         s: [[float(t), float(r)] for t, r in zip(taus, rhos)]
         for s, (taus, rhos) in curves.items()
     }
-    _atomic_write(
-        args.out + ".json", json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(args.out + ".json", payload)
     solvers = sorted(curves)
     taus = curves[solvers[0]][0]
     lines = [",".join(["tau"] + solvers)]
@@ -346,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("results", nargs="+", help="results directories")
     pp.add_argument(
         "--metric",
-        choices=["purity", "hypervolume", "gamma_spread", "delta_spread"],
+        choices=list(METRICS),
         default="purity",
     )
     pp.add_argument("--out", default="profiles", help="output basename")

@@ -21,6 +21,7 @@ from .front import FrontEntry, FrontSet, insert_filter, is_stable
 from .hypervolume import hypervolume
 from .linesearch import armijo_front, exploration_ls
 from .model import EvalCounters, ProblemDefinition, hessians, jacobian
+from .suite import diagonal_images
 
 __all__ = [
     "FDConfig",
@@ -46,6 +47,8 @@ TRACE_COLUMNS = [
     "theta_value",
     "hypervolume_value",
 ]
+
+VARIANTS = ("sd", "newton", "bb")
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class FDConfig:
             raise ValueError("gamma1 and gamma2 must be positive")
         if not (0 < self.delta < 1) or not (0 < self.gamma < 1):
             raise ValueError("delta and gamma must lie in (0, 1)")
-        if self.variant not in ("sd", "newton", "bb"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.eps_hv < 0 or self.sigma < 0:
             raise ValueError("eps_hv and sigma must be nonnegative")
@@ -85,6 +88,10 @@ class FDConfig:
             raise ValueError("alpha0 must be positive")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be >= 1")
+        if self.kappa <= 0:
+            raise ValueError("kappa must be positive")
+        if not (0 < self.a_min <= self.a_max):
+            raise ValueError("a_min and a_max must satisfy 0 < a_min <= a_max")
 
     def sigma_at(self, k: int) -> float:
         return self.sigma / (k + 1) if self.sigma_decreasing else self.sigma
@@ -102,7 +109,6 @@ class IterationRecord:
     front_size_out: int
     theta_value: float
     hypervolume_value: float
-    elapsed: float
 
     def row(self) -> list:
         return [getattr(self, c) for c in TRACE_COLUMNS]
@@ -202,12 +208,11 @@ def default_reference_point(
     each objective's initial range.
 
     An objective whose X0 image range is degenerate (e.g. a singleton X0)
-    borrows the range of the full hyper-diagonal sample X0 was filtered from,
-    falling back to 10% of the magnitude, so the dominated region never has
-    zero measure. The sample's evaluations are added to ``counters``.
+    borrows the range of ``problem.n`` hyper-diagonal samples, whatever count
+    X0 itself was drawn with, falling back to 10% of the magnitude, so the
+    dominated region never has zero measure. The samples' evaluations are
+    added to ``counters``.
     """
-    from .suite import diagonal_images  # local import avoids a cycle at load time
-
     F0 = X0.images()
     hi = F0.max(axis=0)
     rng = hi - F0.min(axis=0)
@@ -329,10 +334,9 @@ def run(
                 w = FrontEntry(
                     x=xw, fx=fw, provenance=f"exploration({tuple(i + 1 for i in I)})"
                 )
-                new_front = insert_filter(front, w)
-                if w not in new_front:
-                    continue
-                front = new_front
+                # exploration_ls accepted fw against this same archive, so
+                # insert_filter cannot reject w
+                front = insert_filter(front, w)
                 _cache_entry(problem, w, counters)
                 n_e += 1
                 if w.cached_theta >= -sigma_k:
@@ -363,7 +367,6 @@ def run(
                 front_size_out=len(front),
                 theta_value=theta_of_front(front),
                 hypervolume_value=hv,
-                elapsed=time.perf_counter() - t_start,
             )
         )
 

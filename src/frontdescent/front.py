@@ -137,11 +137,8 @@ def insert_filter(front: FrontSet, z: FrontEntry) -> FrontSet:
     F = front.images()
     fz = z.fx
     # z dominated by or equal to an incumbent -> reject
-    le = np.all(F <= fz, axis=1)
-    if le.any():
-        eq = np.all(F == fz, axis=1)
-        if (le & ~eq).any() or eq.any():
-            return front
+    if np.all(F <= fz, axis=1).any():
+        return front
     # drop entries dominated by z; the survivors' images and ids carry over
     removes = np.all(fz <= F, axis=1) & np.any(fz != F, axis=1)
     kept = list(itertools.compress(front.entries, ~removes))

@@ -81,9 +81,6 @@ def _delta_along(Y: np.ndarray, sort_col: int, ext_lo, ext_hi) -> float:
     d = np.linalg.norm(np.diff(P, axis=0), axis=1)
     d0 = float(np.linalg.norm(P[0] - ext_lo))
     dN = float(np.linalg.norm(P[-1] - ext_hi))
-    if d.size == 0:
-        denom = d0 + dN
-        return 1.0 if denom == 0 else (d0 + dN) / denom
     dbar = float(np.mean(d))
     num = d0 + dN + float(np.sum(np.abs(d - dbar)))
     den = d0 + dN + d.size * dbar

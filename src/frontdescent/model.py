@@ -140,7 +140,8 @@ def hessians(
 
     Uses the analytic evaluators when provided, otherwise central differences
     of the Jacobian rows with step ``FD_HESSIAN_STEP``, whose 2n Jacobian evaluations
-    are counted and checked like any other. Results are symmetrized.
+    are counted and checked like any other. Anything but m finite n x n
+    matrices raises ``EvaluationError``. Results are symmetrized.
     """
     x = np.asarray(x, dtype=float)
     if problem.hessians is not None:
@@ -157,6 +158,12 @@ def hessians(
         H = [cols[:, j, :].T for j in range(problem.m)]
     if counters is not None:
         counters.hessian_evals += 1
+    if len(H) != problem.m or any(h.shape != (problem.n, problem.n) for h in H):
+        raise EvaluationError(
+            f"hessians returned shapes {[h.shape for h in H]}, "
+            f"expected {problem.m} of ({problem.n}, {problem.n})"
+        )
+    _check_finite_vector(np.ravel(H), "hessian entry")
     return [0.5 * (h + h.T) for h in H]
 
 

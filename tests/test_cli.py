@@ -95,7 +95,16 @@ class TestRun:
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [{"alpha0": 0}, {"max_backtracks": 0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"alpha0": 0},
+            {"max_backtracks": 0},
+            {"kappa": 0},
+            {"a_min": 0},
+            {"a_min": 10.0, "a_max": 1.0},
+        ],
+    )
     def test_bad_line_search_constant_exits_2_before_writing(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"instances": [["JOS_1", 5]], "solver": bad}))
@@ -104,6 +113,44 @@ class TestRun:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "bad", [{"initial_points": 0}, {"external_fronts": ["other.front.csv"]}]
+    )
+    def test_bad_top_level_key_exits_2_before_writing(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [["JOS_1", 5]], **bad}))
+        out = tmp_path / "res"
+        code = run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_flags_recorded_and_time_limit_caps(self, tmp_path):
+        out = tmp_path / "res"
+        assert run_cli(
+            "run", "--problem", "JOS_1", "--n", "5", "--sigma", "1e-3",
+            "--eps-hv", "0", "--time-limit", "0", "--out", str(out),
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        params = manifest["solver_parameters"]["sd"]
+        assert params["sigma"] == 1e-3
+        assert params["eps_hv"] == 0.0
+        assert params["wall_clock_limit"] == 0.0
+        assert manifest["runs"][0]["stop_reason"] == "time_cap"
+
+    def test_time_limit_overrides_wall_clock_limit(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": [["JOS_1", 5]],
+            "solver": {"wall_clock_limit": 1000.0},
+            "time_limit": 0,
+        }))
+        out = tmp_path / "res"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver_parameters"]["sd"]["wall_clock_limit"] == 0.0
+        assert manifest["runs"][0]["stop_reason"] == "time_cap"
 
     def test_missing_n_exits_2(self, tmp_path):
         assert run_cli("run", "--problem", "JOS_1", "--out", str(tmp_path / "r")) == 2

@@ -53,7 +53,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             FDConfig(sigma=-1.0)
 
-    @pytest.mark.parametrize("bad", [{"alpha0": 0.0}, {"alpha0": -1.0}, {"max_backtracks": 0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"alpha0": 0.0},
+            {"alpha0": -1.0},
+            {"max_backtracks": 0},
+            {"kappa": 0.0},
+            {"kappa": -1.0},
+            {"a_min": 0.0},
+            {"a_min": -1.0},
+            {"a_min": 10.0, "a_max": 1.0},
+        ],
+    )
     def test_bad_line_search_constant(self, bad):
         with pytest.raises(ValueError):
             FDConfig(**bad)

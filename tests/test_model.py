@@ -162,6 +162,22 @@ class TestHessians:
         with pytest.raises(EvaluationError):
             hessians(p, x)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [np.eye(2)],  # one matrix for m = 2
+            [np.eye(2), np.eye(2), np.eye(2)],
+            [np.eye(2), np.eye(3)],
+            [np.eye(2), np.ones(2)],
+            [np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])],
+            [np.eye(2), np.array([[1.0, np.inf], [np.inf, 1.0]])],
+        ],
+    )
+    def test_malformed_analytic_hessians_rejected(self, jos1_2, bad):
+        p = dataclasses.replace(jos1_2, hessians=lambda x: bad)
+        with pytest.raises(EvaluationError):
+            hessians(p, np.zeros(2))
+
     def test_symmetrized(self, rng):
         A = rng.normal(size=(3, 3))
 

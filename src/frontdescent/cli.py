@@ -28,6 +28,7 @@ from .driver import TRACE_COLUMNS, VARIANTS, FDConfig, RunResult, run
 from .front import SCHEMA_HEADER, front_csv_text, read_csv, read_images_csv
 from .hypervolume import hypervolume, reference_point_cross_solver
 from .metrics import (
+    PROFILE_FAILURE,
     build_reference_front,
     delta_spread,
     gamma_spread,
@@ -223,12 +224,16 @@ def cmd_profiles(args) -> int:
     score = METRICS[args.metric]
     costs = []
     for inst in sorted(shared):
-        fronts = shared[inst]
-        ref, zeta = _pool(fronts.values())
-        values = {s: score(Y, ref, zeta) for s, Y in fronts.items()}
-        # hypervolume costs are measured from the reference front's volume
-        kw = {"v_ref": hypervolume(ref, zeta)} if args.metric == "hypervolume" else {}
-        costs.append(profile_preprocess(args.metric, values, **kw))
+        # a solver that returned no point fails on every metric
+        row = dict.fromkeys(shared[inst], PROFILE_FAILURE)
+        fronts = {s: Y for s, Y in shared[inst].items() if len(Y)}
+        if fronts:
+            ref, zeta = _pool(fronts.values())
+            values = {s: score(Y, ref, zeta) for s, Y in fronts.items()}
+            # hypervolume costs are measured from the reference front's volume
+            kw = {"v_ref": hypervolume(ref, zeta)} if args.metric == "hypervolume" else {}
+            row.update(profile_preprocess(args.metric, values, **kw))
+        costs.append(row)
 
     curves = performance_profiles(costs)
     payload = {

@@ -35,7 +35,7 @@ ZERO_DIRECTION_TOL = 1e-12
 
 @dataclass
 class DirectionResult:
-    """A descent direction with its subproblem optimum and dual weights.
+    """A descent direction with its subproblem optimum.
 
     ``d_value`` is max_j g_j' d over the active subset (the worst directional
     derivative), ``theta`` the optimal value of the direction subproblem.
@@ -44,27 +44,21 @@ class DirectionResult:
     d: np.ndarray
     theta: float
     d_value: float
-    weights: np.ndarray
-    kind: str
-
-    @property
-    def is_zero(self) -> bool:
-        return float(np.linalg.norm(self.d)) <= ZERO_DIRECTION_TOL
 
 
 def solve_dual_simplex(
     grads: np.ndarray,
-    metrics: Optional[Sequence[np.ndarray]] = None,
+    metrics: Optional[np.ndarray] = None,
     tol: float = 1e-13,
 ) -> tuple:
     """Maximize the dual over the unit simplex.
 
     Returns ``(lam, d, theta, terms)`` where ``terms[j] = g_j' d + (1/2) d' B_j d``
-    is the dual gradient. One objective, and two under the identity metric,
-    have closed forms; every other dual (the identity metric from three
-    objectives, Newton metrics from two) goes to one active-set Newton method,
-    which for the identity metric is Wolfe's min-norm-point algorithm. Its
-    ``tol`` bounds the spread of ``terms`` over the support relative to the
+    is the dual gradient; ``metrics`` holds the B_j (an (m, n, n) array or m
+    matrices), None the identity. The identity metric with one or two
+    objectives has closed forms; every other dual goes to one active-set Newton
+    method, which for the identity metric is Wolfe's min-norm-point algorithm.
+    Its ``tol`` bounds the spread of ``terms`` over the support relative to the
     largest summand of ``terms``.
     """
     G = np.asarray(grads, dtype=float)
@@ -94,11 +88,7 @@ def solve_dual_simplex(
         n = G.shape[1]
         B = np.broadcast_to(np.eye(n), (m, n, n))
     else:
-        B = np.stack([np.asarray(b, dtype=float) for b in metrics])
-        if m == 1:
-            d = -np.linalg.solve(B[0], G[0])
-            val = float(G[0] @ d + 0.5 * d @ B[0] @ d)
-            return np.ones(1), d, val, np.array([val])
+        B = np.asarray(metrics, dtype=float)
     lam, d, terms = _active_set_newton(G, B, tol)
     return lam, d, float(np.max(terms)), terms
 
@@ -191,24 +181,22 @@ def _active_set_newton(G: np.ndarray, B: np.ndarray, tol: float) -> tuple:
     return lam, d, terms
 
 
-def _result(
-    d: np.ndarray, theta: float, J_rows: np.ndarray, lam: np.ndarray, kind: str
-) -> DirectionResult:
+def _result(d: np.ndarray, theta: float, J_rows: np.ndarray) -> DirectionResult:
     """The direction with ``d_value = max(J_rows @ d)``; one of norm at most
     ZERO_DIRECTION_TOL becomes exactly zero, with theta = d_value = 0."""
     if float(np.linalg.norm(d)) <= ZERO_DIRECTION_TOL:
         d, theta, d_value = np.zeros_like(d), 0.0, 0.0
     else:
         d_value = float(np.max(J_rows @ d))
-    return DirectionResult(d=d, theta=theta, d_value=d_value, weights=lam, kind=kind)
+    return DirectionResult(d=d, theta=theta, d_value=d_value)
 
 
 def common_steepest(J: np.ndarray) -> DirectionResult:
     """Steepest common descent direction: min-norm negative convex combination
     of the gradients, with theta = -(1/2)||d||^2."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
-    lam, d, theta, _ = solve_dual_simplex(J)
-    return _result(d, theta, J, lam, "common_sd")
+    _, d, theta, _ = solve_dual_simplex(J)
+    return _result(d, theta, J)
 
 
 def partial_steepest(J: np.ndarray, I: Sequence[int]) -> DirectionResult:
@@ -219,36 +207,36 @@ def partial_steepest(J: np.ndarray, I: Sequence[int]) -> DirectionResult:
     if not idx or len(idx) >= m or min(idx) < 0 or max(idx) >= m:
         raise ValueError(f"I must be a proper nonempty subset of range({m}), got {I}")
     rows = J[idx]
-    lam, d, theta, _ = solve_dual_simplex(rows)
-    return _result(d, theta, rows, lam, f"partial_sd({tuple(idx)})")
+    _, d, theta, _ = solve_dual_simplex(rows)
+    return _result(d, theta, rows)
 
 
 def spectral_shift(H: np.ndarray, kappa: float) -> tuple:
-    """Shift H by eta*I so the minimum eigenvalue is at least kappa whenever it
-    was nonpositive; H is left untouched otherwise. Returns (B, eta)."""
-    lam_min = float(np.linalg.eigvalsh(H)[0])
-    if lam_min <= 0.0:
-        eta = -lam_min + kappa
-        return H + eta * np.eye(H.shape[0]), eta
-    return H, 0.0
+    """Shift each matrix of H (one n x n matrix or an (m, n, n) stack) by
+    eta*I so its minimum eigenvalue is at least kappa whenever it was
+    nonpositive; other matrices are left untouched. Returns (B, eta), with eta
+    of H's batch shape (0-d for one matrix)."""
+    H = np.asarray(H, dtype=float)
+    lam_min = np.linalg.eigvalsh(H)[..., 0]
+    eta = np.where(lam_min <= 0.0, kappa - lam_min, 0.0)
+    E = eta[..., None, None]
+    return np.where(E > 0.0, H + E * np.eye(H.shape[-1]), H), eta
 
 
-def newton_direction(J: np.ndarray, H: Sequence[np.ndarray], kappa: float) -> DirectionResult:
-    """Newton-type direction with per-objective metrics B_j = H_j + eta_j I.
-
-    eta_j lifts the spectrum above kappa when H_j is not positive definite.
-    """
+def newton_direction(J: np.ndarray, H: np.ndarray, kappa: float) -> DirectionResult:
+    """Newton-type direction with per-objective metrics B_j = H_j + eta_j I,
+    H an (m, n, n) array or m matrices; eta_j lifts the spectrum above kappa
+    when H_j is not positive definite."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     J = np.atleast_2d(np.asarray(J, dtype=float))
-    B = []
-    for h in H:
-        h = np.asarray(h, dtype=float)
-        if not np.allclose(h, h.T, atol=1e-8):
-            raise ValueError("Hessian input must be symmetric")
-        B.append(spectral_shift(0.5 * (h + h.T), kappa)[0])
-    lam, d, theta, _ = solve_dual_simplex(J, metrics=B)
-    return _result(d, theta, J, lam, "newton")
+    H = np.asarray(H, dtype=float)
+    Ht = H.transpose(0, 2, 1)
+    if not np.allclose(H, Ht, atol=1e-8):
+        raise ValueError("Hessian input must be symmetric")
+    B, _ = spectral_shift(0.5 * (H + Ht), kappa)
+    _, d, theta, _ = solve_dual_simplex(J, metrics=B)
+    return _result(d, theta, J)
 
 
 def bb_direction(J: np.ndarray, a: np.ndarray, a_min: float, a_max: float) -> DirectionResult:
@@ -261,9 +249,9 @@ def bb_direction(J: np.ndarray, a: np.ndarray, a_min: float, a_max: float) -> Di
         raise ValueError("require 0 < a_min <= a_max")
     J = np.atleast_2d(np.asarray(J, dtype=float))
     a = np.clip(np.asarray(a, dtype=float), a_min, a_max)
-    lam, d, theta, _ = solve_dual_simplex(J / a[:, None])
+    _, d, theta, _ = solve_dual_simplex(J / a[:, None])
     # d_value reports the true worst directional derivative, not the rescaled one
-    return _result(d, theta, J, lam, "bb")
+    return _result(d, theta, J)
 
 
 def update_bb_scalars(

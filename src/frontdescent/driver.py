@@ -50,6 +50,13 @@ TRACE_COLUMNS = [
 
 VARIANTS = ("sd", "newton", "bb")
 
+# an exploration image closer than this share of the front's per-objective
+# range to an archived image is not inserted
+CROWDING_GAP_FACTOR = 1e-3
+# a subset whose partial steepest theta is at least -EXPLORATION_THETA_TOL
+# is not explored
+EXPLORATION_THETA_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FDConfig:
@@ -70,8 +77,6 @@ class FDConfig:
     eps_hv: float = 5e-4
     max_iterations: Optional[int] = 1000
     wall_clock_limit: Optional[float] = None
-    crowding_gap_factor: float = 1e-3
-    exploration_theta_tol: float = 1e-10
     max_backtracks: int = 60
     check_invariants: bool = False
 
@@ -178,15 +183,12 @@ def _refinement_direction(problem, entry, config, counters):
         H = hessians(problem, entry.x, counters)
         cand = dirs.newton_direction(J, H, config.kappa)
     else:  # bb
+        a = np.ones(J.shape[0])
         if entry.bb_history is not None:
             x_prev, J_prev = entry.bb_history
             s = entry.x - x_prev
             if float(s @ s) > 0:
                 a = dirs.update_bb_scalars(s, J - J_prev, config.a_min, config.a_max)
-            else:
-                a = np.ones(J.shape[0])
-        else:
-            a = np.ones(J.shape[0])
         cand = dirs.bb_direction(J, a, config.a_min, config.a_max)
     if dirs.sdr_check(
         cand.d_value, float(np.linalg.norm(cand.d)), norm_v, config.gamma1, config.gamma2
@@ -280,7 +282,7 @@ def run(
 
         # per-objective spacing gap for exploration insertions
         F_now = front.images()
-        gap = config.crowding_gap_factor * (F_now.max(axis=0) - F_now.min(axis=0))
+        gap = CROWDING_GAP_FACTOR * (F_now.max(axis=0) - F_now.min(axis=0))
 
         # the caps are checked before every line search; an iteration they
         # cut short (k = 0 included) still gets its trace row
@@ -318,7 +320,7 @@ def run(
                 if z not in front:
                     break
                 part = dirs.partial_steepest(J_z, I)
-                if part.theta >= -config.exploration_theta_tol:
+                if part.theta >= -EXPLORATION_THETA_TOL:
                     continue
                 stop = cap_reached(k)
                 if stop:

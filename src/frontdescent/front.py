@@ -184,9 +184,11 @@ def read_csv(path) -> tuple:
 
 
 def read_images_csv(path) -> np.ndarray:
-    """Read only the f_1..f_m columns of a front CSV (external solver import)."""
+    """Read only the f_1..f_m columns of a front CSV (external solver import)
+    as a (rows, m) array; a header-only file gives shape (0, m)."""
     header, rows = read_csv(path)
     f_cols = [i for i, c in enumerate(header) if c.startswith("f_")]
     if not f_cols:
         raise ValueError(f"{path}: no f_* columns found")
-    return np.asarray([[float(row[i]) for i in f_cols] for row in rows], dtype=float)
+    values = [[float(row[i]) for i in f_cols] for row in rows]
+    return np.asarray(values, dtype=float).reshape(len(rows), len(f_cols))

@@ -60,9 +60,8 @@ def hypervolume_3d(images, zeta) -> float:
     for lo, hi in zip(levels[:-1], levels[1:]):
         if hi <= lo:
             continue
-        active = Y[Y[:, 2] <= lo][:, :2]
-        if active.size:
-            total += (hi - lo) * hypervolume_2d(active, zeta[:2])
+        # lo is the f_3 of at least one row, so the slab is never empty
+        total += (hi - lo) * hypervolume_2d(Y[Y[:, 2] <= lo][:, :2], zeta[:2])
     return float(total)
 
 

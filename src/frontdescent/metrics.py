@@ -68,11 +68,7 @@ def gamma_spread(solver_images: np.ndarray, reference_front=None) -> float:
     Y = _with_extremes(Y, reference_front)
     if Y.shape[0] < 2:
         return 0.0
-    worst = 0.0
-    for j in range(Y.shape[1]):
-        c = np.sort(Y[:, j])
-        worst = max(worst, float(np.max(np.diff(c))))
-    return worst
+    return float(np.diff(np.sort(Y, axis=0), axis=0).max())
 
 
 def _delta_along(Y: np.ndarray, sort_col: int, ext_lo, ext_hi) -> float:
@@ -127,7 +123,7 @@ def profile_preprocess(metric: str, values: Dict[str, float], **kw) -> Dict[str,
             v_ref = max(v for v in values.values() if np.isfinite(v))
         for s, v in values.items():
             out[s] = v_ref - v + 1e-7 if np.isfinite(v) else PROFILE_FAILURE
-    elif metric in ("gamma_spread", "delta_spread", "cost"):
+    elif metric in ("gamma_spread", "delta_spread"):
         for s, v in values.items():
             out[s] = float(v) if np.isfinite(v) and v >= 0 else PROFILE_FAILURE
     else:

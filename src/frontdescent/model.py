@@ -7,7 +7,8 @@ only to generate starting points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,11 +44,7 @@ class EvalCounters:
     hessian_evals: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "objective_evals": self.objective_evals,
-            "jacobian_evals": self.jacobian_evals,
-            "hessian_evals": self.hessian_evals,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,9 @@ class ProblemDefinition:
 
     ``objective(x)`` returns the m objective values, ``jacobian(x)`` the m x n
     matrix whose rows are the objective gradients. ``hessians(x)``, when
-    present, returns a list of m symmetric n x n matrices. ``lower``/``upper``
-    bound the sampling box for starting-point generation only; the
-    optimization itself is unconstrained.
+    present, returns m symmetric n x n matrices (a list or an (m, n, n)
+    array). ``lower``/``upper`` bound the sampling box for starting-point
+    generation only; the optimization itself is unconstrained.
     """
 
     name: str
@@ -68,7 +65,7 @@ class ProblemDefinition:
     jacobian: Callable[[np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
-    hessians: Optional[Callable[[np.ndarray], list]] = None
+    hessians: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -135,8 +132,8 @@ def hessians(
     problem: ProblemDefinition,
     x: np.ndarray,
     counters: Optional[EvalCounters] = None,
-) -> list:
-    """Per-objective Hessians at x.
+) -> np.ndarray:
+    """The (m, n, n) stack of per-objective Hessians at x.
 
     Uses the analytic evaluators when provided, otherwise central differences
     of the Jacobian rows with step ``FD_HESSIAN_STEP``, whose 2n Jacobian evaluations
@@ -144,27 +141,27 @@ def hessians(
     matrices raises ``EvaluationError``. Results are symmetrized.
     """
     x = np.asarray(x, dtype=float)
+    m, n = problem.m, problem.n
     if problem.hessians is not None:
-        H = [np.asarray(h, dtype=float) for h in problem.hessians(x)]
+        try:
+            H = np.asarray(problem.hessians(x), dtype=float)
+        except ValueError as exc:  # matrices of different shapes
+            raise EvaluationError(f"hessians returned ragged matrices: {exc}") from None
     else:
-        n = problem.n
-        cols = np.empty((n, problem.m, n))
+        cols = np.empty((n, m, n))
         for i in range(n):
             e = np.zeros(n)
             e[i] = FD_HESSIAN_STEP
             cols[i] = (
                 jacobian(problem, x + e, counters) - jacobian(problem, x - e, counters)
             ) / (2.0 * FD_HESSIAN_STEP)
-        H = [cols[:, j, :].T for j in range(problem.m)]
+        H = cols.transpose(1, 2, 0)
     if counters is not None:
         counters.hessian_evals += 1
-    if len(H) != problem.m or any(h.shape != (problem.n, problem.n) for h in H):
-        raise EvaluationError(
-            f"hessians returned shapes {[h.shape for h in H]}, "
-            f"expected {problem.m} of ({problem.n}, {problem.n})"
-        )
-    _check_finite_vector(np.ravel(H), "hessian entry")
-    return [0.5 * (h + h.T) for h in H]
+    if H.shape != (m, n, n):
+        raise EvaluationError(f"hessians returned shape {H.shape}, expected ({m}, {n}, {n})")
+    _check_finite_vector(H.ravel(), "hessian entry")
+    return 0.5 * (H + H.transpose(0, 2, 1))
 
 
 def gradient_check(problem: ProblemDefinition, x: np.ndarray, h: float = 1e-6) -> float:

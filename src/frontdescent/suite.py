@@ -14,7 +14,7 @@ gradient is singular only at x_1 = 0 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ class SuiteEntry:
     name: str
     dims: tuple
     m: int
+    build: Callable[[int], ProblemDefinition]  # n -> problem; make_problem checks n
 
 
 def _spow(x: float, p: float) -> float:
@@ -408,35 +409,19 @@ def _cec09_triobj(name: str, n: int) -> ProblemDefinition:
 
 
 SUITE = {
-    "JOS_1": SuiteEntry("JOS_1", _DIMS_FULL, 2),
-    "MAN_1": SuiteEntry("MAN_1", _DIMS_FULL, 2),
-    "SLC_2": SuiteEntry("SLC_2", _DIMS_FULL, 2),
-    "MOP_2": SuiteEntry("MOP_2", _DIMS_FULL, 2),
-    "MOP_3": SuiteEntry("MOP_3", (2,), 2),
-    "MOP_7": SuiteEntry("MOP_7", (2,), 3),
-    "MMR_5": SuiteEntry("MMR_5", _DIMS_FULL, 2),
-    "CEC09_1": SuiteEntry("CEC09_1", _DIMS_CEC, 2),
-    "CEC09_2": SuiteEntry("CEC09_2", _DIMS_CEC, 2),
-    "CEC09_3": SuiteEntry("CEC09_3", _DIMS_CEC, 2),
-    "CEC09_7": SuiteEntry("CEC09_7", _DIMS_CEC, 2),
-    "CEC09_8": SuiteEntry("CEC09_8", _DIMS_CEC3OBJ, 3),
-    "CEC09_10": SuiteEntry("CEC09_10", _DIMS_CEC3OBJ, 3),
-}
-
-_BUILDERS = {
-    "JOS_1": _jos1,
-    "MAN_1": _man1,
-    "SLC_2": _slc2,
-    "MOP_2": _mop2,
-    "MOP_3": lambda n: _mop3(),
-    "MOP_7": lambda n: _mop7(),
-    "MMR_5": _mmr5,
-    "CEC09_1": lambda n: _cec09_biobj("CEC09_1", n),
-    "CEC09_2": lambda n: _cec09_biobj("CEC09_2", n),
-    "CEC09_3": lambda n: _cec09_biobj("CEC09_3", n),
-    "CEC09_7": lambda n: _cec09_biobj("CEC09_7", n),
-    "CEC09_8": lambda n: _cec09_triobj("CEC09_8", n),
-    "CEC09_10": lambda n: _cec09_triobj("CEC09_10", n),
+    "JOS_1": SuiteEntry("JOS_1", _DIMS_FULL, 2, _jos1),
+    "MAN_1": SuiteEntry("MAN_1", _DIMS_FULL, 2, _man1),
+    "SLC_2": SuiteEntry("SLC_2", _DIMS_FULL, 2, _slc2),
+    "MOP_2": SuiteEntry("MOP_2", _DIMS_FULL, 2, _mop2),
+    "MOP_3": SuiteEntry("MOP_3", (2,), 2, lambda n: _mop3()),
+    "MOP_7": SuiteEntry("MOP_7", (2,), 3, lambda n: _mop7()),
+    "MMR_5": SuiteEntry("MMR_5", _DIMS_FULL, 2, _mmr5),
+    "CEC09_1": SuiteEntry("CEC09_1", _DIMS_CEC, 2, lambda n: _cec09_biobj("CEC09_1", n)),
+    "CEC09_2": SuiteEntry("CEC09_2", _DIMS_CEC, 2, lambda n: _cec09_biobj("CEC09_2", n)),
+    "CEC09_3": SuiteEntry("CEC09_3", _DIMS_CEC, 2, lambda n: _cec09_biobj("CEC09_3", n)),
+    "CEC09_7": SuiteEntry("CEC09_7", _DIMS_CEC, 2, lambda n: _cec09_biobj("CEC09_7", n)),
+    "CEC09_8": SuiteEntry("CEC09_8", _DIMS_CEC3OBJ, 3, lambda n: _cec09_triobj("CEC09_8", n)),
+    "CEC09_10": SuiteEntry("CEC09_10", _DIMS_CEC3OBJ, 3, lambda n: _cec09_triobj("CEC09_10", n)),
 }
 
 
@@ -452,7 +437,7 @@ def make_problem(name: str, n: int) -> ProblemDefinition:
         raise ValueError(
             f"{name} does not admit n={n}; admissible dimensions: {entry.dims}"
         )
-    return _BUILDERS[name](n)
+    return entry.build(n)
 
 
 def initial_points(problem: ProblemDefinition, count: int | None = None) -> FrontSet:

@@ -1,9 +1,15 @@
 """Shared oracles and helpers for the test suite."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from frontdescent import FrontEntry, FrontSet, ProblemDefinition
+from frontdescent import FrontEntry, FrontSet, ProblemDefinition, make_problem
+from frontdescent.suite import SUITE
+
+# fractional parts of sqrt(2), sqrt(3) and sqrt(5): three spread-out points
+_GOLDEN_STEPS = (0.41421356237309515, 0.7320508075688772, 0.2360679774997898)
 
 
 def closed_form_sd_m2(g1, g2):
@@ -50,6 +56,26 @@ def grid_theta(G, step=1e-3, metrics=None):
         q = -0.5 * float(g @ np.linalg.solve(B, g))
         best = max(best, q)
     return best
+
+
+def golden_points(name):
+    """The suite problem at n = 10, or the only n it admits, and three fixed
+    interior points of its sampling box."""
+    dims = SUITE[name].dims
+    p = make_problem(name, 10 if 10 in dims else dims[0])
+    i = np.arange(1, p.n + 1)
+    return p, [
+        p.lower + (0.05 + 0.9 * (i * step % 1.0)) * (p.upper - p.lower) for step in _GOLDEN_STEPS
+    ]
+
+
+def float_hex(values):
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
+
+
+def hex_sha256(values):
+    """sha256 of the space-joined float.hex of every value, in C order."""
+    return hashlib.sha256(" ".join(float_hex(values)).encode()).hexdigest()
 
 
 def front_from_images(images):

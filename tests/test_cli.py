@@ -86,14 +86,16 @@ class TestRun:
         assert not (out / "manifest.json").exists()
 
     def test_unknown_solver_parameter_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "instances": [["JOS_1", 5]],
-            "solver": {"learning_rate": 0.1},
-        }))
-        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "res"))
-        assert code == 2
-        assert "learning_rate" in capsys.readouterr().err
+        # the last two are fixed constants in driver.py, not FDConfig fields
+        for name in ("learning_rate", "crowding_gap_factor", "exploration_theta_tol"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "instances": [["JOS_1", 5]],
+                "solver": {name: 0.1},
+            }))
+            code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "res"))
+            assert code == 2
+            assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "bad",
@@ -200,6 +202,21 @@ class TestProfiles:
         assert run_cli("profiles", str(two_variant_results),
                        "--metric", "hypervolume", "--out", str(dest)) == 0
         assert (tmp_path / "hvprof.json").exists()
+
+    @pytest.mark.parametrize("metric", ["purity", "hypervolume", "gamma_spread", "delta_spread"])
+    def test_empty_front_is_a_failure(self, jos1_results, tmp_path, metric):
+        # a header-only front CSV scores as a failure: its rho stays 0
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "JOS_1_n5__empty.front.csv").write_text("f_1,f_2\n")
+        dest = tmp_path / "prof"
+        code = run_cli("profiles", str(jos1_results), str(empty),
+                       "--metric", metric, "--out", str(dest))
+        assert code == 0
+        payload = json.loads((tmp_path / "prof.json").read_text())
+        assert set(payload) == {"res:sd", "empty:empty"}
+        assert all(r == 0.0 for _, r in payload["empty:empty"])
+        assert payload["res:sd"][-1][1] == 1.0
 
     def test_single_solver_exits_2(self, jos1_results, tmp_path, capsys):
         code = run_cli("profiles", str(jos1_results), "--out", str(tmp_path / "p"))

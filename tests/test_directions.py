@@ -1,9 +1,14 @@
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from frontdescent import (
     bb_direction,
     common_steepest,
+    hessians,
     newton_direction,
     partial_steepest,
     sdr_check,
@@ -11,7 +16,15 @@ from frontdescent import (
     spectral_shift,
     update_bb_scalars,
 )
-from conftest import closed_form_sd_m2, grid_theta
+from frontdescent.suite import SUITE
+from conftest import closed_form_sd_m2, golden_points, grid_theta, hex_sha256
+
+# sha256 of the float.hex of every direction builder's d, theta and d_value,
+# and of model.hessians, on each suite problem at the golden points of
+# tests/test_suite.py. Re-record (``python tests/test_directions.py``) only
+# when a direction is meant to change: every other change must leave these
+# bytes as they are.
+GOLDEN = Path(__file__).with_name("golden_directions.json")
 
 
 class TestCommonSteepest:
@@ -24,13 +37,14 @@ class TestCommonSteepest:
         res = common_steepest(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert np.allclose(res.d, 0.0)
         assert res.theta == 0.0
-        assert res.is_zero
+        assert not res.d.any()
 
     def test_orthogonal_gradients(self):
-        res = common_steepest(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        J = np.array([[1.0, 0.0], [0.0, 1.0]])
+        res = common_steepest(J)
         assert np.allclose(res.d, [-0.5, -0.5])
         assert res.theta == pytest.approx(-0.25)
-        assert np.allclose(res.weights, [0.5, 0.5])
+        assert np.allclose(solve_dual_simplex(J)[0], [0.5, 0.5])
 
     def test_matches_closed_form_m2(self, rng):
         for n in (2, 10, 50):
@@ -78,7 +92,7 @@ class TestPartialSteepest:
     def test_zero_gradient_subset(self):
         J = np.array([[0.0, 0.0], [1.0, 1.0]])
         res = partial_steepest(J, [0])
-        assert res.is_zero and res.theta == 0.0
+        assert not res.d.any() and res.theta == 0.0
 
     def test_improper_subsets_rejected(self):
         J = np.eye(2)
@@ -333,7 +347,9 @@ def assert_kkt(G, B, lam, d, theta, terms, rel=1e-9):
 
 class TestNewtonDual:
     def test_kkt_random_metrics(self, rng):
-        for m in (2, 3, 4):
+        # m = 1 has no closed form: the active-set solver's support is
+        # stationary at once
+        for m in (1, 2, 3, 4):
             for n in (2, 5, 10):
                 for _ in range(20):
                     G = rng.normal(size=(m, n))
@@ -393,3 +409,50 @@ class TestNewtonDual:
         assert np.allclose(d, d2, rtol=1e-9, atol=0.0)
         assert theta == pytest.approx(theta2, rel=1e-12)
         assert_kkt(G, B, lam, d, theta, terms)
+
+
+def _direction_sha256(res):
+    return hex_sha256(np.concatenate([res.d, [res.theta, res.d_value]]))
+
+
+def golden_record(name):
+    """Per golden point: hashes of model.hessians (finite differences where the
+    problem has no analytic Hessians), common_steepest, partial_steepest for
+    every proper subset, bb_direction with scalars 0.5, 1, 2 (clamped into
+    [1e-3, 1e3]) and newton_direction with kappa = 1e-2."""
+    p, points = golden_points(name)
+    out = []
+    for x in points:
+        J = p.jacobian(x)
+        H = hessians(p, x)
+        rec = {
+            "hessians": hex_sha256(H),
+            "common_steepest": _direction_sha256(common_steepest(J)),
+            "bb_direction": _direction_sha256(
+                bb_direction(J, 2.0 ** np.arange(-1, p.m - 1), 1e-3, 1e3)
+            ),
+            "newton_direction": _direction_sha256(newton_direction(J, H, 1e-2)),
+        }
+        for size in range(1, p.m):
+            for I in itertools.combinations(range(p.m), size):
+                key = f"partial_steepest{I}"
+                rec[key] = _direction_sha256(partial_steepest(J, I))
+        out.append(rec)
+    return out
+
+
+class TestGoldenDirections:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_directions_bitwise_unchanged(self, name, golden):
+        for k, (got, want) in enumerate(zip(golden_record(name), golden[name], strict=True)):
+            assert got == want, f"{name}: point {k}"
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps({name: golden_record(name) for name in sorted(SUITE)}, indent=1) + "\n"
+    )

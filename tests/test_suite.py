@@ -1,4 +1,3 @@
-import hashlib
 import json
 from pathlib import Path
 
@@ -15,6 +14,7 @@ from frontdescent import (
     make_problem,
 )
 from frontdescent.suite import SUITE, diagonal_images
+from conftest import float_hex, golden_points, hex_sha256
 
 ALL_NAMES = sorted(SUITE)
 
@@ -23,8 +23,6 @@ ALL_NAMES = sorted(SUITE)
 # Re-record (``python tests/test_suite.py``) only when a formula changes on
 # purpose: every other change must leave these bytes as they are.
 GOLDEN = Path(__file__).with_name("golden_suite.json")
-# fractional parts of sqrt(2), sqrt(3) and sqrt(5): three spread-out points
-_GOLDEN_STEPS = (0.41421356237309515, 0.7320508075688772, 0.2360679774997898)
 
 
 class TestRegistry:
@@ -189,27 +187,19 @@ class TestDiagonalImages:
         assert diagonal_images(p).shape[0] > len(initial_points(p))
 
 
-def _hex(values):
-    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
-
-
 def golden_record(name):
     """float.hex of objective(x) and of each Jacobian row, and a sha256 of the
     float.hex of the analytic Hessians, at three fixed interior points; n = 10,
     or the only n the problem admits."""
-    dims = SUITE[name].dims
-    p = make_problem(name, 10 if 10 in dims else dims[0])
-    i = np.arange(1, p.n + 1)
+    p, points = golden_points(name)
     out = []
-    for step in _GOLDEN_STEPS:
-        x = p.lower + (0.05 + 0.9 * (i * step % 1.0)) * (p.upper - p.lower)
+    for x in points:
         rec = {
-            "objective": _hex(p.objective(x)),
-            "jacobian": [_hex(row) for row in p.jacobian(x)],
+            "objective": float_hex(p.objective(x)),
+            "jacobian": [float_hex(row) for row in p.jacobian(x)],
         }
         if p.hessians is not None:
-            text = " ".join(_hex(p.hessians(x)))
-            rec["hessians_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+            rec["hessians_sha256"] = hex_sha256(p.hessians(x))
         out.append(rec)
     return out
 

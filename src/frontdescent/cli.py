@@ -194,11 +194,19 @@ def cmd_run(args) -> int:
 
 
 def _collect_fronts(dirs: List[str]) -> Dict[str, Dict[str, np.ndarray]]:
-    """{instance: {solver: images}} from the front CSVs of the results dirs."""
+    """{instance: {solver: images}} from the front CSVs of the results dirs.
+
+    With several dirs a solver is labelled ``<basename(dir)>:<variant>``, so
+    dirs that share a basename are rejected rather than merged.
+    """
+    labels = [os.path.basename(os.path.normpath(d)) for d in dirs]
+    for label in labels:
+        clash = [d for d, other in zip(dirs, labels) if other == label]
+        if len(clash) > 1:
+            raise ValueError(f"results directories {', '.join(clash)} share the label {label!r}")
     by_instance: Dict[str, Dict[str, np.ndarray]] = {}
     multiple = len(dirs) > 1
-    for d in dirs:
-        label = os.path.basename(os.path.normpath(d))
+    for d, label in zip(dirs, labels):
         for fname in sorted(os.listdir(d)):
             if not fname.endswith(".front.csv"):
                 continue
@@ -214,9 +222,12 @@ def _collect_fronts(dirs: List[str]) -> Dict[str, Dict[str, np.ndarray]]:
 
 
 def cmd_profiles(args) -> int:
-    shared = {
-        inst: fronts for inst, fronts in _collect_fronts(args.results).items() if len(fronts) >= 2
-    }
+    try:
+        collected = _collect_fronts(args.results)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    shared = {inst: fronts for inst, fronts in collected.items() if len(fronts) >= 2}
     if not shared:
         print("error: need >= 2 solvers with overlapping instances", file=sys.stderr)
         return 2
@@ -259,11 +270,15 @@ def _read_trace(path: str) -> List[dict]:
 
 
 def cmd_trace_table(args) -> int:
-    rows = _read_trace(args.trace)
-    if args.rows == "all":
-        wanted = list(range(len(rows)))
-    else:
-        wanted = [int(s) for s in args.rows.split(",") if s.strip() != ""]
+    try:
+        rows = _read_trace(args.trace)
+        if args.rows == "all":
+            wanted = list(range(len(rows)))
+        else:
+            wanted = [int(s) for s in args.rows.split(",") if s.strip() != ""]
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     header = f"{'k':>5}  {'|X^k| (% stat.)':>18}  {'n_r (last)':>12}  {'n_e (% stat.)':>15}  {'|X^k+1|':>8}"
     print(header)
     for k in wanted:

@@ -1,10 +1,13 @@
 """Front descent outer loop.
 
-Each iteration processes every point of the current set: a refinement step
-(line search along a common descent direction, gated by the per-iteration
-stationarity threshold) followed by exploration steps along partial steepest
-descent directions for every proper subset of objectives. The point with the
-worst stationarity value is always processed first.
+Each iteration makes one pass over a snapshot of the current set, the point
+with the worst stationarity value first. ``refine`` runs one line search along
+the variant's common descent direction from each point whose stationarity
+value is below the iteration's threshold; ``explore`` then runs one line
+search along the partial steepest descent direction of every proper objective
+subset from the point or its refinement. Both insert what they accept. The
+caps are checked before every line search; each trace row is read from the
+refinement log and from the thetas of the iteration's accepted explorations.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ class FDConfig:
             raise ValueError("kappa must be positive")
         if not (0 < self.a_min <= self.a_max):
             raise ValueError("a_min and a_max must satisfy 0 < a_min <= a_max")
+        if (self.max_iterations or 0) < 0 or (self.wall_clock_limit or 0) < 0:
+            raise ValueError("max_iterations and wall_clock_limit must be nonnegative")
 
     def sigma_at(self, k: int) -> float:
         return self.sigma / (k + 1) if self.sigma_decreasing else self.sigma
@@ -267,84 +272,82 @@ def run(
             return "time_cap"
         return None
 
-    trace: List[IterationRecord] = []
-    refinement_log: List[tuple] = []
-    last_refinement_iter: Optional[int] = None
-    prev_hv = front_hypervolume(front, zeta)
-    k = 0
+    def refine(x_c: FrontEntry, k: int) -> FrontEntry:
+        """Refinement line search from x_c; inserts, logs and returns the new entry."""
+        nonlocal front
+        d, d_value = _refinement_direction(problem, x_c, config, counters)
+        alpha, xz, fz = armijo_front(problem, x_c.x, x_c.fx, d, d_value, config, counters)
+        z = FrontEntry(x=xz, fx=fz, provenance="refinement")
+        if config.variant == "bb":
+            z.bb_history = (x_c.x, x_c.cached_J)
+        _cache_entry(problem, z, counters)
+        if config.check_invariants and not np.all(fz <= x_c.fx + config.gamma * alpha * d_value):
+            raise AssertionError("accepted step violates sufficient decrease")
+        front = insert_filter(front, z)
+        refinement_log.append((k, x_c.cached_v_norm, alpha))
+        return z
 
-    while True:
-        sigma_k = config.sigma_at(k)
-        size_in = len(front)
-        stationary_in = sum(1 for e in front.entries if e.cached_theta >= -sigma_k)
+    def explore(z: FrontEntry, I: tuple, d: np.ndarray, gap: np.ndarray) -> Optional[FrontEntry]:
+        """Exploration line search from z along the partial direction d of
+        subset I; inserts and returns the accepted entry, or None."""
+        nonlocal front
+        hit = exploration_ls(problem, z.x, d, front, config, counters)
+        if hit is None:
+            return None
+        _, xw, fw = hit
+        if np.any(gap > 0):
+            close = np.abs(front.images() - fw) / np.where(gap > 0, gap, np.inf)
+            if np.min(np.max(close, axis=1)) < 1.0:
+                return None
+        w = FrontEntry(x=xw, fx=fw, provenance=f"exploration({tuple(i + 1 for i in I)})")
+        # exploration_ls accepted fw against this same archive, so
+        # insert_filter cannot reject w
+        front = insert_filter(front, w)
+        _cache_entry(problem, w, counters)
+        return w
+
+    def iterate(k: int, sigma_k: float, explored: List[float]) -> Optional[str]:
+        """Refine and explore every point of the iteration's snapshot, adding
+        the theta of each accepted exploration to ``explored``; returns the
+        cap that cut the pass short."""
         snapshot = [front.entries[i] for i in select_processing_order(front)]
-        n_r = n_e = n_e_stationary = 0
-
         # per-objective spacing gap for exploration insertions
         F_now = front.images()
         gap = CROWDING_GAP_FACTOR * (F_now.max(axis=0) - F_now.min(axis=0))
-
-        # the caps are checked before every line search; an iteration they
-        # cut short (k = 0 included) still gets its trace row
-        stop = None
         for x_c in snapshot:
             if x_c not in front:
                 continue
+            z = x_c
             if x_c.cached_theta < -sigma_k:
-                stop = cap_reached(k)
-                if stop:
-                    break
-                d, d_value = _refinement_direction(problem, x_c, config, counters)
-                alpha, xz, fz = armijo_front(
-                    problem, x_c.x, x_c.fx, d, d_value, config, counters
-                )
-                z = FrontEntry(x=xz, fx=fz, provenance="refinement")
-                if config.variant == "bb":
-                    z.bb_history = (x_c.x, x_c.cached_J)
-                _cache_entry(problem, z, counters)
-                if config.check_invariants and not np.all(
-                    fz <= x_c.fx + config.gamma * alpha * d_value
-                ):
-                    raise AssertionError("accepted step violates sufficient decrease")
-                front = insert_filter(front, z)
-                n_r += 1
-                last_refinement_iter = k
-                refinement_log.append((k, x_c.cached_v_norm, alpha))
-            else:
-                z = x_c
-
-            if z not in front:
-                continue
-            J_z = z.cached_J
+                if stop := cap_reached(k):
+                    return stop
+                z = refine(x_c, k)
             for I in _proper_subsets(problem.m):
                 if z not in front:
                     break
-                part = dirs.partial_steepest(J_z, I)
+                part = dirs.partial_steepest(z.cached_J, I)
                 if part.theta >= -EXPLORATION_THETA_TOL:
                     continue
-                stop = cap_reached(k)
-                if stop:
-                    break
-                hit = exploration_ls(problem, z.x, part.d, front, config, counters)
-                if hit is None:
-                    continue
-                _, xw, fw = hit
-                if np.any(gap > 0):
-                    close = np.abs(front.images() - fw) / np.where(gap > 0, gap, np.inf)
-                    if np.min(np.max(close, axis=1)) < 1.0:
-                        continue
-                w = FrontEntry(
-                    x=xw, fx=fw, provenance=f"exploration({tuple(i + 1 for i in I)})"
-                )
-                # exploration_ls accepted fw against this same archive, so
-                # insert_filter cannot reject w
-                front = insert_filter(front, w)
-                _cache_entry(problem, w, counters)
-                n_e += 1
-                if w.cached_theta >= -sigma_k:
-                    n_e_stationary += 1
-            if stop:
-                break
+                if stop := cap_reached(k):
+                    return stop
+                w = explore(z, I, part.d, gap)
+                if w is not None:
+                    explored.append(w.cached_theta)
+        return None
+
+    trace: List[IterationRecord] = []
+    refinement_log: List[tuple] = []
+    prev_hv = front_hypervolume(front, zeta)
+
+    for k in itertools.count():
+        sigma_k = config.sigma_at(k)
+        size_in = len(front)
+        stationary_in = sum(1 for e in front.entries if e.cached_theta >= -sigma_k)
+        n_logged = len(refinement_log)
+        explored: List[float] = []
+        # the caps are checked before every line search; an iteration they
+        # cut short (k = 0 included) still gets its trace row
+        stop = iterate(k, sigma_k, explored)
 
         if config.check_invariants and not is_stable(front):
             raise AssertionError(f"front lost stability at iteration {k}")
@@ -353,21 +356,24 @@ def run(
         if config.check_invariants and hv < prev_hv - 1e-12 * max(1.0, abs(prev_hv)):
             raise AssertionError(f"hypervolume decreased at iteration {k}")
 
+        theta = theta_of_front(front)
         trace.append(
             IterationRecord(
                 k=k,
                 front_size_in=size_in,
                 pct_sigma_stationary_in=100.0 * stationary_in / size_in,
-                n_refinements=n_r,
+                n_refinements=len(refinement_log) - n_logged,
                 iterations_since_last_refinement=(
-                    0 if last_refinement_iter is None else k - last_refinement_iter
+                    k - refinement_log[-1][0] if refinement_log else 0
                 ),
-                n_explorations=n_e,
+                n_explorations=len(explored),
                 pct_exploration_sigma_stationary=(
-                    100.0 * n_e_stationary / n_e if n_e else 100.0
+                    100.0 * sum(t >= -sigma_k for t in explored) / len(explored)
+                    if explored
+                    else 100.0
                 ),
                 front_size_out=len(front),
-                theta_value=theta_of_front(front),
+                theta_value=theta,
                 hypervolume_value=hv,
             )
         )
@@ -375,27 +381,20 @@ def run(
         # stop-rule priority: caps, then hypervolume, then theta
         stop = stop or cap_reached(k + 1)
         if stop is None:
-            if (
-                config.eps_hv > 0
-                and prev_hv > 0
-                and (hv - prev_hv) / prev_hv < config.eps_hv
-            ):
+            if config.eps_hv > 0 and prev_hv > 0 and (hv - prev_hv) / prev_hv < config.eps_hv:
                 stop = "hv_improvement"
-            elif theta_of_front(front) >= -sigma_k and n_e == 0:
+            elif theta >= -sigma_k and not explored:
                 stop = "theta_threshold"
         if stop:
-            break
+            return RunResult(
+                front=front,
+                trace=trace,
+                counters=counters,
+                stop_reason=stop,
+                reference_point=zeta,
+                refinements=refinement_log,
+            )
         prev_hv = hv
-        k += 1
-
-    return RunResult(
-        front=front,
-        trace=trace,
-        counters=counters,
-        stop_reason=stop,
-        reference_point=zeta,
-        refinements=refinement_log,
-    )
 
 
 def compute_iteration_bound(

@@ -100,10 +100,15 @@ def hv_monte_carlo(images, zeta, ideal, samples: int, seed: int = 0) -> tuple:
     done = 0
     while done < samples:
         k = min(chunk, samples - done)
-        pts = rng.uniform(ideal, zeta, size=(k, len(zeta)))
+        # one contiguous row per objective: comparing whole columns is several
+        # times faster than an all() over the rows of the samples
+        cols = np.ascontiguousarray(rng.uniform(ideal, zeta, size=(k, len(zeta))).T)
         dominated = np.zeros(k, dtype=bool)
         for y in Y:
-            dominated |= np.all(pts >= y, axis=1)
+            hit = cols[0] >= y[0]
+            for j in range(1, len(y)):
+                hit &= cols[j] >= y[j]
+            dominated |= hit
         hits += int(dominated.sum())
         done += k
     p = hits / samples

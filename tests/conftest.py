@@ -58,11 +58,13 @@ def grid_theta(G, step=1e-3, metrics=None):
     return best
 
 
-def golden_points(name):
-    """The suite problem at n = 10, or the only n it admits, and three fixed
-    interior points of its sampling box."""
+def golden_points(name, n=None):
+    """The suite problem at n (default 10, or the only n it admits) and three
+    fixed interior points of its sampling box."""
     dims = SUITE[name].dims
-    p = make_problem(name, 10 if 10 in dims else dims[0])
+    if n is None:
+        n = 10 if 10 in dims else dims[0]
+    p = make_problem(name, n)
     i = np.arange(1, p.n + 1)
     return p, [
         p.lower + (0.05 + 0.9 * (i * step % 1.0)) * (p.upper - p.lower) for step in _GOLDEN_STEPS

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -105,6 +106,7 @@ class TestRun:
             {"kappa": 0},
             {"a_min": 0},
             {"a_min": 10.0, "a_max": 1.0},
+            {"max_iterations": -1},
         ],
     )
     def test_bad_line_search_constant_exits_2_before_writing(self, tmp_path, capsys, bad):
@@ -223,6 +225,24 @@ class TestProfiles:
         assert code == 2
         assert ">= 2 solvers" in capsys.readouterr().err
 
+    def test_label_clash_exits_2(self, jos1_results, tmp_path, capsys):
+        # a/results and b/results would both label their fronts results:sd
+        dirs = [tmp_path / "a" / "results", tmp_path / "b" / "results", tmp_path / "c" / "other"]
+        for d in dirs:
+            shutil.copytree(jos1_results, d)
+        code = run_cli("profiles", *map(str, dirs), "--out", str(tmp_path / "p"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(dirs[0]) in err and str(dirs[1]) in err
+        assert not (tmp_path / "p.json").exists()
+
+    def test_missing_results_dir_exits_2(self, jos1_results, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        code = run_cli("profiles", str(jos1_results), str(missing), "--out", str(tmp_path / "p"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+
 
 class TestTraceTable:
     def test_selected_rows(self, jos1_results, capsys):
@@ -240,6 +260,18 @@ class TestTraceTable:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         n_trace = len(trace.read_text().splitlines()) - 2
         assert len(lines) == n_trace + 1
+
+    def test_non_integer_rows_exits_2(self, jos1_results, capsys):
+        trace = jos1_results / "JOS_1_n5__sd.trace.csv"
+        assert run_cli("trace-table", str(trace), "--rows", "0,x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'x'" in err
+
+    def test_missing_trace_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.trace.csv"
+        assert run_cli("trace-table", str(missing)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
 
 
 class TestListProblems:

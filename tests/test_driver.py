@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
+import json
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from frontdescent import (
     FrontSet,
     compute_iteration_bound,
     default_reference_point,
+    evaluate,
     front_hypervolume,
     initial_points,
+    insert_filter,
     is_stable,
     jacobian,
     make_problem,
@@ -23,9 +28,30 @@ from frontdescent import (
     theta_of_front,
 )
 from frontdescent import driver
+from frontdescent.cli import _trace_csv_text
 from frontdescent.driver import TRACE_COLUMNS
+from frontdescent.front import front_csv_text
 
-from conftest import quadratic_problem
+from conftest import golden_points, quadratic_problem
+
+# sha256 of the front CSV, trace CSV, evaluation counts, stop reason and
+# refinement log of small capped runs from the filtered golden points of
+# conftest. Re-record (``python tests/test_driver.py``) only when a run is
+# meant to change: every other change must leave these bytes as they are.
+GOLDEN_RUNS = Path(__file__).with_name("golden_runs.json")
+
+# case -> (problem, n, FDConfig keywords); "clocked" cases replace the
+# driver's clock by one that advances 1 ms per objective evaluation, so a
+# wall-clock cap cuts an iteration short at a reproducible point
+GOLDEN_RUN_CASES = {
+    "JOS_1_n5__sd": ("JOS_1", 5, {"variant": "sd", "max_iterations": 8}),
+    "JOS_1_n5__newton": ("JOS_1", 5, {"variant": "newton", "max_iterations": 8}),
+    "JOS_1_n5__bb": ("JOS_1", 5, {"variant": "bb", "max_iterations": 8}),
+    "CEC09_1_n10__bb": ("CEC09_1", 10, {"variant": "bb", "max_iterations": 8}),
+    "CEC09_8_n10__sd": ("CEC09_8", 10, {"variant": "sd", "max_iterations": 5}),
+    "CEC09_10_n10__newton": ("CEC09_10", 10, {"variant": "newton", "max_iterations": 5}),
+    "CEC09_8_n10__sd__clocked": ("CEC09_8", 10, {"variant": "sd", "wall_clock_limit": 0.6}),
+}
 
 
 def cached_front(images, thetas):
@@ -64,6 +90,8 @@ class TestConfig:
             {"a_min": 0.0},
             {"a_min": -1.0},
             {"a_min": 10.0, "a_max": 1.0},
+            {"max_iterations": -1},
+            {"wall_clock_limit": -1.0},
         ],
     )
     def test_bad_line_search_constant(self, bad):
@@ -350,6 +378,46 @@ class TestRunInvariants:
         assert len(res.front) > len(initial_points(p))
 
 
+def golden_run_digest(case: str) -> str:
+    name, n, kwargs = GOLDEN_RUN_CASES[case]
+    p, points = golden_points(name, n)
+    X0 = FrontSet()
+    for x in points:
+        X0 = insert_filter(X0, FrontEntry(x=x, fx=evaluate(p, x), provenance="initial"))
+    with pytest.MonkeyPatch.context() as mp:
+        if case.endswith("__clocked"):
+            clock = [0.0]
+            objective = p.objective
+
+            def ticking(x):
+                clock[0] += 1e-3
+                return objective(x)
+
+            mp.setattr(driver, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+            p = dataclasses.replace(p, objective=ticking)
+        res = run(p, X0, FDConfig(eps_hv=0.0, **kwargs))
+    text = "".join(
+        [
+            front_csv_text(res.front, p.n, p.m),
+            _trace_csv_text(res),
+            json.dumps(res.counters.as_dict(), sort_keys=True),
+            res.stop_reason,
+            repr([(k, v.hex(), a.hex()) for k, v, a in res.refinements]),
+        ]
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenRuns:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_RUNS.read_text())
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RUN_CASES))
+    def test_run_bytes_unchanged(self, case, golden):
+        assert golden_run_digest(case) == golden[case]
+
+
 class TestIterationBound:
     def test_delta_low_example(self):
         # defaults gamma1 = 1e-2, gamma = 1e-4, gamma2 = 1e2, L_max = 1:
@@ -373,3 +441,9 @@ class TestIterationBound:
             compute_iteration_bound(1.0, 0.0, cfg, eps=0.0, L_max=1.0, m=2)
         with pytest.raises(ValueError):
             compute_iteration_bound(0.0, 1.0, cfg, eps=1e-2, L_max=1.0, m=2)
+
+
+if __name__ == "__main__":
+    GOLDEN_RUNS.write_text(
+        json.dumps({c: golden_run_digest(c) for c in sorted(GOLDEN_RUN_CASES)}, indent=1) + "\n"
+    )

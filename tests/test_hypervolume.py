@@ -108,6 +108,24 @@ class TestMonteCarlo:
         b = hv_monte_carlo([(0.3, 0.4)], (1, 1), (0, 0), samples=10_000, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_row_wise_reference(self, rng, m):
+        # the reference tests whole sample rows with all(); the estimate is a
+        # hit count over the same draws (100_000 per chunk), so both agree
+        # exactly
+        Y = rng.uniform(0.1, 0.9, size=(5, m))
+        zeta, ideal, samples = np.ones(m), np.zeros(m), 250_000
+        draws = np.random.default_rng(3)
+        pts = np.concatenate(
+            [draws.uniform(ideal, zeta, size=(k, m)) for k in (100_000, 100_000, 50_000)]
+        )
+        dominated = np.zeros(samples, dtype=bool)
+        for y in Y:
+            dominated |= np.all(pts >= y, axis=1)
+        p_hit = int(dominated.sum()) / samples
+        want = (p_hit, float(np.sqrt(p_hit * (1.0 - p_hit) / samples)))
+        assert hv_monte_carlo(Y, zeta, ideal, samples=samples, seed=3) == want
+
     def test_agreement_with_exact_2d(self, rng):
         for _ in range(5):
             Y = rng.uniform(0.1, 0.9, size=(6, 2))

@@ -57,6 +57,7 @@ from .model import (
     EvalCounters,
     EvaluationError,
     ProblemDefinition,
+    counted,
     evaluate,
     gradient_check,
     hessians,
@@ -109,6 +110,7 @@ __all__ = [
     "EvalCounters",
     "EvaluationError",
     "ProblemDefinition",
+    "counted",
     "evaluate",
     "gradient_check",
     "hessians",

@@ -99,9 +99,9 @@ def _load_config(args) -> dict:
         unknown = set(cfg) - CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+    if (args.problem is None) != (args.n is None):
+        raise ValueError("--problem and --n go together")
     if args.problem is not None:
-        if args.n is None:
-            raise ValueError("--problem requires --n")
         cfg["instances"] = [[args.problem, int(args.n)]]
     if args.variant is not None:
         cfg["variants"] = [args.variant]

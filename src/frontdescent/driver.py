@@ -23,7 +23,7 @@ from . import directions as dirs
 from .front import FrontEntry, FrontSet, insert_filter, is_stable
 from .hypervolume import hypervolume
 from .linesearch import armijo_front, exploration_ls
-from .model import EvalCounters, ProblemDefinition, hessians, jacobian
+from .model import EvalCounters, ProblemDefinition, counted, hessians, jacobian
 from .suite import diagonal_images
 
 __all__ = [
@@ -135,33 +135,38 @@ class RunResult:
     refinements: List[tuple] = field(default_factory=list)
 
 
-def _cache_entry(problem, entry: FrontEntry, counters) -> None:
-    """Attach Jacobian, steepest descent direction and theta to an entry."""
-    J = jacobian(problem, entry.x, counters)
-    res = dirs.common_steepest(J)
-    entry.cached_J = J
-    entry.cached_v = res.d
-    entry.cached_theta = res.theta
-    entry.cached_v_norm = float(np.linalg.norm(res.d))
+@dataclass(kw_only=True)
+class _Point(FrontEntry):
+    """A run's archived point with its Jacobian J, steepest descent direction
+    v, v's norm, theta, and under ``bb`` the (x, J) it was refined from."""
+
+    J: np.ndarray
+    v: np.ndarray
+    v_norm: float
+    theta: float
+    bb_history: Optional[tuple]
+
+    @classmethod
+    def at(cls, problem, x, fx, provenance, bb_history=None) -> "_Point":
+        """The point with the Jacobian evaluated at x."""
+        J = jacobian(problem, x)
+        res = dirs.common_steepest(J)
+        return cls(
+            x=x, fx=fx, provenance=provenance, J=J, v=res.d,
+            v_norm=float(np.linalg.norm(res.d)), theta=res.theta, bb_history=bb_history,
+        )
 
 
 def select_processing_order(front: FrontSet) -> List[int]:
     """Index order with an argmin-theta point first, ties and the remainder
-    in insertion order."""
-    if not len(front):
-        raise ValueError("front must be nonempty")
-    thetas = [e.cached_theta for e in front.entries]
-    if any(t is None for t in thetas):
-        raise ValueError("theta must be cached on all entries")
-    first = int(np.argmin(thetas))
+    in insertion order; an empty front raises ValueError."""
+    first = int(np.argmin([e.theta for e in front.entries]))
     return [first] + [i for i in range(len(front)) if i != first]
 
 
 def theta_of_front(front: FrontSet) -> float:
-    thetas = [e.cached_theta for e in front.entries]
-    if not thetas or any(t is None for t in thetas):
-        raise ValueError("theta must be cached on all entries")
-    return float(min(thetas))
+    """Least theta of the front; an empty front raises ValueError."""
+    return float(min(e.theta for e in front.entries))
 
 
 def front_hypervolume(front: FrontSet, zeta: np.ndarray) -> float:
@@ -176,16 +181,15 @@ def front_hypervolume(front: FrontSet, zeta: np.ndarray) -> float:
     return hypervolume(F[inside], zeta)
 
 
-def _refinement_direction(problem, entry, config, counters):
+def _refinement_direction(problem, entry: _Point, config, counters):
     """Variant direction with the steepest-descent-related safeguard; returns
     (d, d_value) with d_value measured against the true gradients."""
-    J = entry.cached_J
-    v = entry.cached_v
-    norm_v = entry.cached_v_norm
+    J, v, norm_v = entry.J, entry.v, entry.v_norm
     if config.variant == "sd":
         return v, -(norm_v**2)
     if config.variant == "newton":
-        H = hessians(problem, entry.x, counters)
+        H = hessians(problem, entry.x)
+        counters.hessian_evals += 1
         cand = dirs.newton_direction(J, H, config.kappa)
     else:  # bb
         a = np.ones(J.shape[0])
@@ -208,23 +212,20 @@ def _proper_subsets(m: int):
         yield from itertools.combinations(range(m), size)
 
 
-def default_reference_point(
-    problem: ProblemDefinition, X0: FrontSet, counters: Optional[EvalCounters] = None
-) -> np.ndarray:
+def default_reference_point(problem: ProblemDefinition, X0: FrontSet) -> np.ndarray:
     """Fixed per-run reference point: componentwise image maxima plus 10% of
     each objective's initial range.
 
     An objective whose X0 image range is degenerate (e.g. a singleton X0)
     borrows the range of ``problem.n`` hyper-diagonal samples, whatever count
     X0 itself was drawn with, falling back to 10% of the magnitude, so the
-    dominated region never has zero measure. The samples' evaluations are
-    added to ``counters``.
+    dominated region never has zero measure; ``run`` counts the samples.
     """
     F0 = X0.images()
     hi = F0.max(axis=0)
     rng = hi - F0.min(axis=0)
     if np.any(rng <= 0):
-        diag = diagonal_images(problem, counters=counters)
+        diag = diagonal_images(problem)
         if diag.size:
             diag_rng = diag.max(axis=0) - diag.min(axis=0)
             rng = np.where(rng > 0, rng, diag_rng)
@@ -240,9 +241,10 @@ def run(
 ) -> RunResult:
     """Execute the front descent loop from a stable nonempty starting set.
 
-    Only the points, images and provenance of X0's entries are used: the run
-    works on fresh entries and evaluates (and counts) their Jacobians, so
-    whatever an earlier run cached on X0 is neither trusted nor touched.
+    Only the points, images and provenance of X0's entries are read, and X0
+    is left as it is. The counters hold every call of the problem's objective
+    and Jacobian that returns, and every Hessian stack the run asks for. An
+    explicit ``reference_point`` is m finite values no X0 image exceeds.
     """
     if not len(X0):
         raise ValueError("X0 must be nonempty")
@@ -250,16 +252,17 @@ def run(
         raise ValueError("X0 must be a set of mutually nondominated points")
 
     counters = EvalCounters()
+    problem = counted(problem, counters)
     t_start = time.perf_counter()
 
-    front = FrontSet(FrontEntry(e.x, e.fx, e.provenance) for e in X0.entries)
-    for e in front.entries:
-        _cache_entry(problem, e, counters)
+    front = FrontSet(_Point.at(problem, e.x, e.fx, e.provenance) for e in X0.entries)
 
     if reference_point is None:
-        zeta = default_reference_point(problem, X0, counters)
+        zeta = default_reference_point(problem, X0)
     else:
         zeta = np.asarray(reference_point, dtype=float)
+        if zeta.shape != (problem.m,) or not np.all(np.isfinite(zeta)):
+            raise ValueError(f"reference point must be {problem.m} finite values")
         if np.any(X0.images() > zeta):
             raise ValueError("reference point must dominate every X0 image")
 
@@ -272,26 +275,24 @@ def run(
             return "time_cap"
         return None
 
-    def refine(x_c: FrontEntry, k: int) -> FrontEntry:
-        """Refinement line search from x_c; inserts, logs and returns the new entry."""
+    def refine(x_c: _Point, k: int) -> _Point:
+        """Refinement line search from x_c; inserts, logs and returns the new point."""
         nonlocal front
         d, d_value = _refinement_direction(problem, x_c, config, counters)
-        alpha, xz, fz = armijo_front(problem, x_c.x, x_c.fx, d, d_value, config, counters)
-        z = FrontEntry(x=xz, fx=fz, provenance="refinement")
-        if config.variant == "bb":
-            z.bb_history = (x_c.x, x_c.cached_J)
-        _cache_entry(problem, z, counters)
+        alpha, xz, fz = armijo_front(problem, x_c.x, x_c.fx, d, d_value, config)
+        history = (x_c.x, x_c.J) if config.variant == "bb" else None
+        z = _Point.at(problem, xz, fz, "refinement", history)
         if config.check_invariants and not np.all(fz <= x_c.fx + config.gamma * alpha * d_value):
             raise AssertionError("accepted step violates sufficient decrease")
         front = insert_filter(front, z)
-        refinement_log.append((k, x_c.cached_v_norm, alpha))
+        refinement_log.append((k, x_c.v_norm, alpha))
         return z
 
-    def explore(z: FrontEntry, I: tuple, d: np.ndarray, gap: np.ndarray) -> Optional[FrontEntry]:
+    def explore(z: _Point, I: tuple, d: np.ndarray, gap: np.ndarray) -> Optional[_Point]:
         """Exploration line search from z along the partial direction d of
-        subset I; inserts and returns the accepted entry, or None."""
+        subset I; inserts and returns the accepted point, or None."""
         nonlocal front
-        hit = exploration_ls(problem, z.x, d, front, config, counters)
+        hit = exploration_ls(problem, z.x, d, front, config)
         if hit is None:
             return None
         _, xw, fw = hit
@@ -299,11 +300,10 @@ def run(
             close = np.abs(front.images() - fw) / np.where(gap > 0, gap, np.inf)
             if np.min(np.max(close, axis=1)) < 1.0:
                 return None
-        w = FrontEntry(x=xw, fx=fw, provenance=f"exploration({tuple(i + 1 for i in I)})")
+        w = _Point.at(problem, xw, fw, f"exploration({tuple(i + 1 for i in I)})")
         # exploration_ls accepted fw against this same archive, so
         # insert_filter cannot reject w
         front = insert_filter(front, w)
-        _cache_entry(problem, w, counters)
         return w
 
     def iterate(k: int, sigma_k: float, explored: List[float]) -> Optional[str]:
@@ -318,21 +318,21 @@ def run(
             if x_c not in front:
                 continue
             z = x_c
-            if x_c.cached_theta < -sigma_k:
+            if x_c.theta < -sigma_k:
                 if stop := cap_reached(k):
                     return stop
                 z = refine(x_c, k)
             for I in _proper_subsets(problem.m):
                 if z not in front:
                     break
-                part = dirs.partial_steepest(z.cached_J, I)
+                part = dirs.partial_steepest(z.J, I)
                 if part.theta >= -EXPLORATION_THETA_TOL:
                     continue
                 if stop := cap_reached(k):
                     return stop
                 w = explore(z, I, part.d, gap)
                 if w is not None:
-                    explored.append(w.cached_theta)
+                    explored.append(w.theta)
         return None
 
     trace: List[IterationRecord] = []
@@ -342,7 +342,7 @@ def run(
     for k in itertools.count():
         sigma_k = config.sigma_at(k)
         size_in = len(front)
-        stationary_in = sum(1 for e in front.entries if e.cached_theta >= -sigma_k)
+        stationary_in = sum(1 for e in front.entries if e.theta >= -sigma_k)
         n_logged = len(refinement_log)
         explored: List[float] = []
         # the caps are checked before every line search; an iteration they

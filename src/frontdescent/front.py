@@ -52,7 +52,7 @@ def nondominated(Y) -> np.ndarray:
 
 @dataclass
 class FrontEntry:
-    """A decision point with its cached image and bookkeeping.
+    """A decision point with its image.
 
     ``provenance`` is "initial", "refinement" or "exploration(I)" with I the
     1-based objective subset that generated the point.
@@ -61,12 +61,6 @@ class FrontEntry:
     x: np.ndarray
     fx: np.ndarray
     provenance: str = "initial"
-    cached_theta: Optional[float] = None
-    cached_v_norm: Optional[float] = None
-    cached_J: Optional[np.ndarray] = None
-    cached_v: Optional[np.ndarray] = None
-    # carried across refinements of the same point: (previous x, previous Jacobian)
-    bb_history: Optional[tuple] = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .front import FrontSet
-from .model import EvalCounters, ProblemDefinition, evaluate
+from .model import ProblemDefinition, evaluate
 
 if TYPE_CHECKING:  # the driver imports this module
     from .driver import FDConfig
@@ -28,7 +28,6 @@ def armijo_front(
     d: np.ndarray,
     d_value: float,
     config: FDConfig,
-    counters: Optional[EvalCounters] = None,
 ) -> tuple:
     """Largest step alpha0 * delta^h satisfying componentwise sufficient decrease
 
@@ -42,7 +41,7 @@ def armijo_front(
     alpha = config.alpha0
     for _ in range(config.max_backtracks + 1):
         z = x + alpha * d
-        fz = evaluate(problem, z, counters)
+        fz = evaluate(problem, z)
         if np.all(fz <= fx + config.gamma * alpha * d_value):
             return alpha, z, fz
         alpha *= config.delta
@@ -57,7 +56,6 @@ def exploration_ls(
     direction: np.ndarray,
     front: FrontSet,
     config: FDConfig,
-    counters: Optional[EvalCounters] = None,
 ) -> Optional[tuple]:
     """Largest step whose trial point is not weakly dominated by any front member.
 
@@ -69,7 +67,7 @@ def exploration_ls(
     alpha = config.alpha0
     for _ in range(config.max_backtracks + 1):
         w = z + alpha * direction
-        fw = evaluate(problem, w, counters)
+        fw = evaluate(problem, w)
         # not dominated-or-equal by any member: each row must lose somewhere
         if F.size == 0 or np.all(np.any(fw < F, axis=1)):
             return alpha, w, fw

@@ -17,6 +17,7 @@ __all__ = [
     "EvaluationError",
     "EvalCounters",
     "ProblemDefinition",
+    "counted",
     "evaluate",
     "jacobian",
     "hessians",
@@ -37,7 +38,7 @@ class EvaluationError(RuntimeError):
 
 @dataclass
 class EvalCounters:
-    """Per-run evaluation counts; updated only by the owning run."""
+    """Per-run evaluation counts, kept through ``counted`` by the owning run."""
 
     objective_evals: int = 0
     jacobian_evals: int = 0
@@ -82,44 +83,50 @@ class ProblemDefinition:
             raise ValueError("sampling box requires lower < upper componentwise")
 
 
+def counted(problem: ProblemDefinition, counters: EvalCounters) -> ProblemDefinition:
+    """The problem with objective and Jacobian callables that add one to
+    ``counters`` for each call that returns."""
+    objective, jac = problem.objective, problem.jacobian
+
+    def counted_objective(x):
+        fx = objective(x)
+        counters.objective_evals += 1
+        return fx
+
+    def counted_jacobian(x):
+        J = jac(x)
+        counters.jacobian_evals += 1
+        return J
+
+    return dataclasses.replace(problem, objective=counted_objective, jacobian=counted_jacobian)
+
+
 def _check_finite_vector(values: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         idx = int(np.flatnonzero(~np.isfinite(values))[0])
         raise EvaluationError(f"non-finite {what} at index {idx}", index=idx)
 
 
-def evaluate(
-    problem: ProblemDefinition,
-    x: np.ndarray,
-    counters: Optional[EvalCounters] = None,
-) -> np.ndarray:
+def evaluate(problem: ProblemDefinition, x: np.ndarray) -> np.ndarray:
     """Evaluate F(x), checking finiteness of input and output."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({problem.n},)")
     _check_finite_vector(x, "input coordinate")
     fx = np.asarray(problem.objective(x), dtype=float)
-    if counters is not None:
-        counters.objective_evals += 1
     if fx.shape != (problem.m,):
         raise EvaluationError(f"objective returned shape {fx.shape}, expected ({problem.m},)")
     _check_finite_vector(fx, "objective value")
     return fx
 
 
-def jacobian(
-    problem: ProblemDefinition,
-    x: np.ndarray,
-    counters: Optional[EvalCounters] = None,
-) -> np.ndarray:
+def jacobian(problem: ProblemDefinition, x: np.ndarray) -> np.ndarray:
     """Evaluate the m x n Jacobian of F at x; row j is the gradient of f_j."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({problem.n},)")
     _check_finite_vector(x, "input coordinate")
     J = np.asarray(problem.jacobian(x), dtype=float)
-    if counters is not None:
-        counters.jacobian_evals += 1
     if J.shape != (problem.m, problem.n):
         raise EvaluationError(
             f"jacobian returned shape {J.shape}, expected ({problem.m}, {problem.n})"
@@ -128,17 +135,13 @@ def jacobian(
     return J
 
 
-def hessians(
-    problem: ProblemDefinition,
-    x: np.ndarray,
-    counters: Optional[EvalCounters] = None,
-) -> np.ndarray:
+def hessians(problem: ProblemDefinition, x: np.ndarray) -> np.ndarray:
     """The (m, n, n) stack of per-objective Hessians at x.
 
     Uses the analytic evaluators when provided, otherwise central differences
-    of the Jacobian rows with step ``FD_HESSIAN_STEP``, whose 2n Jacobian evaluations
-    are counted and checked like any other. Anything but m finite n x n
-    matrices raises ``EvaluationError``. Results are symmetrized.
+    of the Jacobian rows with step ``FD_HESSIAN_STEP``, whose 2n Jacobian calls
+    are checked like any other. Anything but m finite n x n matrices raises
+    ``EvaluationError``. Results are symmetrized.
     """
     x = np.asarray(x, dtype=float)
     m, n = problem.m, problem.n
@@ -152,12 +155,8 @@ def hessians(
         for i in range(n):
             e = np.zeros(n)
             e[i] = FD_HESSIAN_STEP
-            cols[i] = (
-                jacobian(problem, x + e, counters) - jacobian(problem, x - e, counters)
-            ) / (2.0 * FD_HESSIAN_STEP)
-        H = cols.transpose(1, 2, 0)
-    if counters is not None:
-        counters.hessian_evals += 1
+            cols[i] = jacobian(problem, x + e) - jacobian(problem, x - e)
+        H = cols.transpose(1, 2, 0) / (2.0 * FD_HESSIAN_STEP)
     if H.shape != (m, n, n):
         raise EvaluationError(f"hessians returned shape {H.shape}, expected ({m}, {n}, {n})")
     _check_finite_vector(H.ravel(), "hessian entry")

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .front import FrontEntry, FrontSet, insert_filter
-from .model import EvalCounters, ProblemDefinition
+from .model import ProblemDefinition
 
 __all__ = [
     "SuiteEntry",
@@ -453,17 +453,13 @@ def initial_points(problem: ProblemDefinition, count: int | None = None) -> Fron
     return front
 
 
-def _diagonal_samples(
-    problem: ProblemDefinition, count: int | None, counters: EvalCounters | None = None
-):
+def _diagonal_samples(problem: ProblemDefinition, count: int | None):
     """(x, F(x)) of every hyper-diagonal sample with finite objective and
-    Jacobian; each evaluation made, usable or not, is added to ``counters``."""
+    Jacobian."""
     if count is None:
         count = problem.n
     if count < 1:
         raise ValueError("count must be >= 1")
-    if counters is None:
-        counters = EvalCounters()
     ts = [0.5] if count == 1 else [i / (count - 1) for i in range(count)]
     for t in ts:
         x = problem.lower + t * (problem.upper - problem.lower)
@@ -472,9 +468,7 @@ def _diagonal_samples(
             # intermediate invalid-operation warnings are expected noise
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 fx = np.asarray(problem.objective(x), dtype=float)
-                counters.objective_evals += 1
                 J = np.asarray(problem.jacobian(x), dtype=float)
-                counters.jacobian_evals += 1
         except (FloatingPointError, ValueError):
             continue
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
@@ -482,15 +476,10 @@ def _diagonal_samples(
         yield x, fx
 
 
-def diagonal_images(
-    problem: ProblemDefinition,
-    count: int | None = None,
-    counters: EvalCounters | None = None,
-) -> np.ndarray:
+def diagonal_images(problem: ProblemDefinition, count: int | None = None) -> np.ndarray:
     """Images of every usable hyper-diagonal sample, dominated ones included;
-    used to scale the per-run hypervolume reference point. The evaluations
-    are added to ``counters``."""
-    rows = [fx for _, fx in _diagonal_samples(problem, count, counters)]
+    used to scale the per-run hypervolume reference point."""
+    rows = [fx for _, fx in _diagonal_samples(problem, count)]
     if not rows:
         return np.empty((0, problem.m))
     return np.stack(rows)

@@ -157,7 +157,13 @@ class TestRun:
         assert manifest["runs"][0]["stop_reason"] == "time_cap"
 
     def test_missing_n_exits_2(self, tmp_path):
-        assert run_cli("run", "--problem", "JOS_1", "--out", str(tmp_path / "r")) == 2
+        # --n without --problem would otherwise be ignored for the config's instances
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [["JOS_1", 5]]}))
+        out = tmp_path / "r"
+        assert run_cli("run", "--problem", "JOS_1", "--out", str(out)) == 2
+        assert run_cli("run", "--config", str(cfg), "--n", "10", "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_no_instances_exits_2(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path / "r")) == 2

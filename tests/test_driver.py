@@ -14,6 +14,7 @@ from frontdescent import (
     FrontEntry,
     FrontSet,
     compute_iteration_bound,
+    counted,
     default_reference_point,
     evaluate,
     front_hypervolume,
@@ -55,8 +56,13 @@ GOLDEN_RUN_CASES = {
 
 
 def cached_front(images, thetas):
+    """A front of run points with the given images and thetas; their
+    Jacobians and directions are placeholders."""
     entries = [
-        FrontEntry(x=np.asarray(f, float), fx=np.asarray(f, float), cached_theta=t)
+        driver._Point(
+            x=np.asarray(f, float), fx=np.asarray(f, float),
+            J=np.zeros((2, 2)), v=np.zeros(2), v_norm=0.0, theta=t, bb_history=None,
+        )
         for f, t in zip(images, thetas)
     ]
     return FrontSet(entries)
@@ -123,8 +129,9 @@ class TestProcessingOrder:
             select_processing_order(FrontSet([]))
 
     def test_missing_cache_rejected(self):
+        # a plain entry carries no theta to order by
         front = FrontSet([FrontEntry(x=np.zeros(1), fx=np.zeros(2))])
-        with pytest.raises(ValueError):
+        with pytest.raises(AttributeError):
             select_processing_order(front)
 
 
@@ -163,9 +170,11 @@ class TestReferencePoint:
         zeta = default_reference_point(p, X0)
         assert np.all(zeta > X0.images()[0])
 
-    def test_diagonal_sample_evaluations_counted(self):
-        # a singleton X0 borrows the range of the n hyper-diagonal samples,
-        # whose objective and Jacobian evaluations count against the run
+    @pytest.mark.parametrize("variant", ["sd", "newton", "bb"])
+    def test_diagonal_sample_evaluations_counted(self, variant):
+        # the run counts exactly the calls its problem's callables see: a
+        # singleton X0 borrows the range of the n hyper-diagonal samples, and
+        # CEC09_10's Newton metrics are Jacobian differences
         raw = make_problem("CEC09_10", 10)
         calls = {"objective": 0, "jacobian": 0}
 
@@ -180,19 +189,23 @@ class TestReferencePoint:
         x = 0.5 * (p.lower + p.upper)
         X0 = FrontSet([FrontEntry(x=x, fx=p.objective(x))])
         calls["objective"] = 0
-        cfg = FDConfig(variant="newton", max_iterations=0)
+        cfg = FDConfig(variant=variant, max_iterations=3, eps_hv=0.0)
         res = run(p, X0, cfg)
+        assert res.refinements
         assert res.counters.objective_evals == calls["objective"]
         assert res.counters.jacobian_evals == calls["jacobian"]
+        assert res.counters.hessian_evals == (len(res.refinements) if variant == "newton" else 0)
         given = run(p, X0, cfg, reference_point=res.reference_point)
         assert res.counters.objective_evals == given.counters.objective_evals + p.n
         assert res.counters.jacobian_evals == given.counters.jacobian_evals + p.n
 
     def test_explicit_reference_must_dominate_x0(self):
+        # and must be m finite values
         p = make_problem("JOS_1", 5)
         X0 = initial_points(p)
-        with pytest.raises(ValueError):
-            run(p, X0, FDConfig(), reference_point=np.zeros(2))
+        for zeta in (np.zeros(2), [100.0], 100.0, [np.nan, np.nan], [np.inf, np.inf]):
+            with pytest.raises(ValueError):
+                run(p, X0, FDConfig(), reference_point=zeta)
 
 
 class TestPartialThetaExample:
@@ -214,12 +227,12 @@ class TestStopRules:
         # starting set in its one trace row
         assert np.array_equal(res.front.images(), X0.images())
         setup = EvalCounters()
-        default_reference_point(p, X0, setup)
+        default_reference_point(counted(p, setup), X0)
         assert res.counters.objective_evals == setup.objective_evals
         assert res.counters.jacobian_evals == setup.jacobian_evals + len(X0)
         (rec,) = res.trace
         n = len(res.front)
-        stationary = sum(1 for e in res.front if e.cached_theta >= -cfg.sigma_at(0))
+        stationary = sum(1 for e in res.front if e.theta >= -cfg.sigma_at(0))
         assert rec.row() == [
             0,
             n,
@@ -307,7 +320,11 @@ class TestRunInvariants:
     @pytest.mark.parametrize("variant", ["sd", "newton", "bb"])
     def test_jos1_invariant_checked(self, variant):
         p = make_problem("JOS_1", 5)
-        res = run(p, initial_points(p), FDConfig(variant=variant, check_invariants=True))
+        x = np.full(5, 5.0)  # off the Pareto set, so every variant refines
+        X0 = FrontSet([FrontEntry(x=x, fx=evaluate(p, x))])
+        res = run(p, X0, FDConfig(variant=variant, check_invariants=True))
+        assert res.refinements
+        assert res.counters.hessian_evals == (len(res.refinements) if variant == "newton" else 0)
         assert is_stable(res.front)
         hvs = [r.hypervolume_value for r in res.trace]
         assert all(b >= a - 1e-12 for a, b in zip(hvs, hvs[1:]))
@@ -344,7 +361,7 @@ class TestRunInvariants:
         fresh = run(p, initial_points(p), cfg)
         X0 = initial_points(p)
         run(p, X0, FDConfig(variant="sd", max_iterations=3))
-        assert all(e.cached_J is None and e.cached_theta is None for e in X0)
+        assert all(set(vars(e)) == {"x", "fx", "provenance"} for e in X0)
         after = run(p, X0, cfg)
         assert after.counters.as_dict() == fresh.counters.as_dict()
         assert np.array_equal(after.front.images(), fresh.front.images())
@@ -354,7 +371,7 @@ class TestRunInvariants:
         # neither trusted nor left uncounted by the next run
         p = make_problem("JOS_1", 5)
         res = run(p, initial_points(p), FDConfig(variant="sd", max_iterations=3))
-        assert all(e.cached_J is not None for e in res.front)
+        assert all(e.J is not None for e in res.front)
         cfg = FDConfig(variant="bb", max_iterations=2)
         warm = run(p, res.front, cfg)
         fresh = run(

@@ -7,6 +7,7 @@ from frontdescent import (
     EvalCounters,
     EvaluationError,
     ProblemDefinition,
+    counted,
     evaluate,
     gradient_check,
     hessians,
@@ -33,8 +34,9 @@ class TestEvaluate:
 
     def test_counter_increment(self, jos1_2):
         c = EvalCounters()
-        evaluate(jos1_2, np.zeros(2), c)
-        evaluate(jos1_2, np.zeros(2), c)
+        p = counted(jos1_2, c)
+        evaluate(p, np.zeros(2))
+        evaluate(p, np.zeros(2))
         assert c.objective_evals == 2
         assert c.jacobian_evals == 0
 
@@ -84,8 +86,30 @@ class TestJacobian:
 
     def test_counter(self, jos1_2):
         c = EvalCounters()
-        jacobian(jos1_2, np.zeros(2), c)
+        jacobian(counted(jos1_2, c), np.zeros(2))
         assert c.jacobian_evals == 1
+
+
+class TestCounted:
+    def test_counts_only_calls_that_return(self):
+        def objective(x):
+            if x[0] > 0:
+                raise FloatingPointError("overflow")
+            return np.zeros(2)
+
+        p = ProblemDefinition(
+            name="flaky", n=1, m=2, objective=objective,
+            jacobian=lambda x: np.zeros((2, 1)),
+            lower=np.array([-1.0]), upper=np.array([1.0]),
+        )
+        c = EvalCounters()
+        q = counted(p, c)
+        q.objective(np.zeros(1))
+        with pytest.raises(FloatingPointError):
+            q.objective(np.ones(1))
+        q.jacobian(np.ones(1))
+        assert c.as_dict() == {"objective_evals": 1, "jacobian_evals": 1, "hessian_evals": 0}
+        assert p.objective is objective
 
 
 class TestGradientCheck:
@@ -146,9 +170,10 @@ class TestHessians:
         p = make_problem("CEC09_10", 10)
         assert p.hessians is None
         c = EvalCounters()
-        hessians(p, np.full(10, 0.3), c)
+        hessians(counted(p, c), np.full(10, 0.3))
         assert c.jacobian_evals == 2 * p.n
-        assert c.hessian_evals == 1
+        # the Hessian stack itself is counted by the run that asks for it
+        assert c.hessian_evals == 0
 
     def test_finite_difference_checks_its_jacobians(self):
         base = make_problem("CEC09_10", 10)

@@ -40,8 +40,6 @@ from .hypervolume import (
     box_gain_lower_bound,
     hv_monte_carlo,
     hypervolume,
-    hypervolume_2d,
-    hypervolume_3d,
     reference_point_cross_solver,
 )
 from .linesearch import LineSearchError, armijo_front, exploration_ls
@@ -95,8 +93,6 @@ __all__ = [
     "box_gain_lower_bound",
     "hv_monte_carlo",
     "hypervolume",
-    "hypervolume_2d",
-    "hypervolume_3d",
     "reference_point_cross_solver",
     "LineSearchError",
     "armijo_front",

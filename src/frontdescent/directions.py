@@ -49,7 +49,6 @@ class DirectionResult:
 def solve_dual_simplex(
     grads: np.ndarray,
     metrics: Optional[np.ndarray] = None,
-    tol: float = 1e-13,
 ) -> tuple:
     """Maximize the dual over the unit simplex.
 
@@ -58,8 +57,8 @@ def solve_dual_simplex(
     matrices), None the identity. The identity metric with one or two
     objectives has closed forms; every other dual goes to one active-set Newton
     method, which for the identity metric is Wolfe's min-norm-point algorithm.
-    Its ``tol`` bounds the spread of ``terms`` over the support relative to the
-    largest summand of ``terms``.
+    ``_KKT_TOL`` bounds the spread of ``terms`` over the support relative to
+    the largest summand of ``terms``.
     """
     G = np.asarray(grads, dtype=float)
     m = G.shape[0]
@@ -89,12 +88,13 @@ def solve_dual_simplex(
         B = np.broadcast_to(np.eye(n), (m, n, n))
     else:
         B = np.asarray(metrics, dtype=float)
-    lam, d, terms = _active_set_newton(G, B, tol)
+    lam, d, terms = _active_set_newton(G, B)
     return lam, d, float(np.max(terms)), terms
 
 
 _MAX_ACTIVE_SET_STEPS = 100
 _MAX_BACKTRACKS = 60
+_KKT_TOL = 1e-13  # spread of terms over the support, relative to their size
 _Q_EPS = 1e-13  # rounding of the dual value q, relative to the size of terms
 _RIDGE = 1e-14  # ridge on the support's Hessian, relative to its trace
 
@@ -118,7 +118,7 @@ def _dual_point(G: np.ndarray, B: np.ndarray, lam: np.ndarray) -> tuple:
     return -0.5 * float(u @ u), d, gd + half_dBd, size, G + Bd, L
 
 
-def _active_set_newton(G: np.ndarray, B: np.ndarray, tol: float) -> tuple:
+def _active_set_newton(G: np.ndarray, B: np.ndarray) -> tuple:
     """Maximizer of the concave dual over the unit simplex by a primal
     active-set Newton method; returns ``(lam, d, terms)``.
 
@@ -139,7 +139,7 @@ def _active_set_newton(G: np.ndarray, B: np.ndarray, tol: float) -> tuple:
     for _ in range(_MAX_ACTIVE_SET_STEPS):
         s = np.flatnonzero(S)
         t = terms[s]
-        gap = tol * size
+        gap = _KKT_TOL * size
         stationary = t.max() - t.min() <= gap
         if not stationary:
             Z = np.linalg.solve(L, W[s].T)

@@ -175,10 +175,7 @@ def front_hypervolume(front: FrontSet, zeta: np.ndarray) -> float:
     F = front.images()
     if F.size == 0:
         return 0.0
-    inside = np.all(F <= zeta, axis=1)
-    if not inside.any():
-        return 0.0
-    return hypervolume(F[inside], zeta)
+    return hypervolume(F[np.all(F <= zeta, axis=1)], zeta)
 
 
 def _refinement_direction(problem, entry: _Point, config, counters):
@@ -242,12 +239,15 @@ def run(
     """Execute the front descent loop from a stable nonempty starting set.
 
     Only the points, images and provenance of X0's entries are read, and X0
-    is left as it is. The counters hold every call of the problem's objective
-    and Jacobian that returns, and every Hessian stack the run asks for. An
-    explicit ``reference_point`` is m finite values no X0 image exceeds.
+    is left as it is; every image is m finite values. The counters hold every
+    call of the problem's objective and Jacobian that returns, and every
+    Hessian stack the run asks for. An explicit ``reference_point`` is m
+    finite values no X0 image exceeds.
     """
     if not len(X0):
         raise ValueError("X0 must be nonempty")
+    if any(e.fx.shape != (problem.m,) or not np.all(np.isfinite(e.fx)) for e in X0.entries):
+        raise ValueError(f"every X0 image must be {problem.m} finite values")
     if config.check_invariants and not is_stable(X0):
         raise ValueError("X0 must be a set of mutually nondominated points")
 

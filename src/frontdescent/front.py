@@ -133,8 +133,9 @@ def insert_filter(front: FrontSet, z: FrontEntry) -> FrontSet:
     # z dominated by or equal to an incumbent -> reject
     if np.all(F <= fz, axis=1).any():
         return front
-    # drop entries dominated by z; the survivors' images and ids carry over
-    removes = np.all(fz <= F, axis=1) & np.any(fz != F, axis=1)
+    # drop entries dominated by z (none equals it after the check above); the
+    # survivors' images and ids carry over
+    removes = np.all(fz <= F, axis=1)
     kept = list(itertools.compress(front.entries, ~removes))
     kept.append(z)
     ids = front._ids.difference(map(id, itertools.compress(front.entries, removes)))

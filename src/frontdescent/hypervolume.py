@@ -14,8 +14,6 @@ from .front import nondominated
 __all__ = [
     "reference_point_cross_solver",
     "hypervolume",
-    "hypervolume_2d",
-    "hypervolume_3d",
     "hv_monte_carlo",
     "box_gain_lower_bound",
 ]
@@ -31,51 +29,41 @@ def reference_point_cross_solver(all_images, offset: float = 0.01) -> np.ndarray
     return Y.max(axis=0) + offset
 
 
-def hypervolume_2d(images, zeta) -> float:
-    """Exact area by a sweep over f_1-sorted nondominated images."""
-    Y = np.atleast_2d(np.asarray(images, dtype=float))
-    zeta = np.asarray(zeta, dtype=float)
-    if Y.size == 0:
-        return 0.0
-    if np.any(Y > zeta):
-        raise ValueError("every image must be <= the reference point")
-    # nondominated rows come sorted by f1 ascending, so f2 strictly decreases
-    Y = nondominated(Y)
-    right = np.append(Y[1:, 0], zeta[0])
-    return float(np.sum((right - Y[:, 0]) * (zeta[1] - Y[:, 1])))
-
-
-def hypervolume_3d(images, zeta) -> float:
-    """Exact volume by slicing on f_3 with a 2-D sweep per slab."""
-    Y = np.atleast_2d(np.asarray(images, dtype=float))
-    zeta = np.asarray(zeta, dtype=float)
-    if Y.size == 0:
-        return 0.0
-    if np.any(Y > zeta):
-        raise ValueError("every image must be <= the reference point")
-    Y = nondominated(Y)
-    levels = np.unique(Y[:, 2])
-    levels = np.append(levels, zeta[2])
-    total = 0.0
-    for lo, hi in zip(levels[:-1], levels[1:]):
-        if hi <= lo:
-            continue
-        # lo is the f_3 of at least one row, so the slab is never empty
-        total += (hi - lo) * hypervolume_2d(Y[Y[:, 2] <= lo][:, :2], zeta[:2])
-    return float(total)
-
-
 def hypervolume(images, zeta) -> float:
-    """Dispatch on the number of objectives (2 or 3)."""
+    """Exact volume for two or three objectives.
+
+    Two objectives are one sweep over the f_1-sorted nondominated images.
+    Three are swept upward through the f_3 levels, merging each level's
+    images into one 2-D staircase: ND(A u B) = ND(ND(A) u B), so the staircase
+    is the nondominated set of every image at or below the level, and each
+    slab up to the next level adds its area times its height.
+    """
     Y = np.atleast_2d(np.asarray(images, dtype=float))
+    zeta = np.asarray(zeta, dtype=float)
     if Y.size == 0:
         return 0.0
     m = Y.shape[1]
+    if m not in (2, 3):
+        raise ValueError(f"hypervolume supports m in {{2, 3}}, got {m}")
+    if np.any(Y > zeta):
+        raise ValueError("every image must be <= the reference point")
+    Y = nondominated(Y)
     if m == 2:
-        return hypervolume_2d(Y, zeta)
-    if m == 3:
-        return hypervolume_3d(Y, zeta)
-    raise ValueError(f"hypervolume supports m in {{2, 3}}, got {m}")
+        return _staircase_area(Y, zeta)
+    levels = np.append(np.unique(Y[:, 2]), zeta[2])
+    staircase = np.empty((0, 2))
+    total = 0.0
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        staircase = nondominated(np.vstack([staircase, Y[Y[:, 2] == lo, :2]]))
+        total += (hi - lo) * _staircase_area(staircase, zeta)
+    return float(total)
+
+
+def _staircase_area(S: np.ndarray, zeta: np.ndarray) -> float:
+    """Area that the 2-D rows S dominate within zeta; S comes from
+    ``nondominated``, so f_1 increases and f_2 strictly decreases."""
+    right = np.append(S[1:, 0], zeta[0])
+    return float(np.sum((right - S[:, 0]) * (zeta[1] - S[:, 1])))
 
 
 def hv_monte_carlo(images, zeta, ideal, samples: int, seed: int = 0) -> tuple:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .front import FrontEntry, FrontSet, insert_filter
-from .model import ProblemDefinition
+from .model import EvaluationError, ProblemDefinition, evaluate, jacobian
 
 __all__ = [
     "SuiteEntry",
@@ -455,7 +455,7 @@ def initial_points(problem: ProblemDefinition, count: int | None = None) -> Fron
 
 def _diagonal_samples(problem: ProblemDefinition, count: int | None):
     """(x, F(x)) of every hyper-diagonal sample with finite objective and
-    Jacobian."""
+    Jacobian; a callable returning the wrong shape raises EvaluationError."""
     if count is None:
         count = problem.n
     if count < 1:
@@ -467,11 +467,13 @@ def _diagonal_samples(problem: ProblemDefinition, count: int | None):
             # probing sample: non-finite values are discarded below, so the
             # intermediate invalid-operation warnings are expected noise
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                fx = np.asarray(problem.objective(x), dtype=float)
-                J = np.asarray(problem.jacobian(x), dtype=float)
-        except (FloatingPointError, ValueError):
+                fx = evaluate(problem, x)
+                jacobian(problem, x)
+        except EvaluationError as exc:
+            if exc.index is None:  # a shape error, not a non-finite value
+                raise
             continue
-        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
+        except (FloatingPointError, ValueError):
             continue
         yield x, fx
 

@@ -22,7 +22,6 @@ from frontdescent import (
     evaluate,
     hv_monte_carlo,
     hypervolume,
-    hypervolume_2d,
     initial_points,
     make_problem,
     newton_direction,
@@ -149,7 +148,7 @@ class TestAcceptance:
                 )
                 if abs(exact - est) > 3.0 * se:
                     misses += 1
-        staircase = hypervolume_2d([(0, 2), (1, 1), (2, 0)], (3, 3))
+        staircase = hypervolume([(0, 2), (1, 1), (2, 0)], (3, 3))
         elapsed = time.perf_counter() - t0
         ok = misses == 0 and staircase == 6.0 and elapsed < 60.0
         report(
@@ -176,7 +175,7 @@ class TestAcceptance:
             new = Y[i] - gap
             Y2 = Y.copy()
             Y2[i] = new
-            gain = hypervolume_2d(Y2, zeta) - hypervolume_2d(Y, zeta)
+            gain = hypervolume(Y2, zeta) - hypervolume(Y, zeta)
             if gain < box_gain_lower_bound(Y[i], new) - 1e-12:
                 violations += 1
         ok = violations == 0
@@ -307,10 +306,10 @@ class TestAcceptance:
         # analytic front {(t^2, (t-2)^2) : t in [0, 2]} discretized finely
         t = np.linspace(0.0, 2.0, 100_001)
         front = np.column_stack([t**2, (t - 2.0) ** 2])
-        V_star = hypervolume_2d(front, zeta)
+        V_star = hypervolume(front, zeta)
         F0 = X0.images()
         inside = F0[np.all(F0 <= zeta, axis=1)]
-        V0 = hypervolume_2d(inside, zeta) if inside.size else 0.0
+        V0 = hypervolume(inside, zeta)
         eps = 1e-2
         observed = sum(1 for r in res.trace if r.theta_value <= -eps)
         # L_max: both objectives have constant Hessian (2/n) I = I at n=2

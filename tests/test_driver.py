@@ -247,13 +247,32 @@ class TestStopRules:
         ]
         assert res.refinements == []
 
-    def test_zero_iteration_time_cap(self):
+    @staticmethod
+    def capped_start(p, start):
+        """JOS_1's starting set is x = 0, which is Pareto-stationary, so a cap
+        at k = 0 hits before its first exploration; from x = 3 * 1 the cap
+        hits before a refinement."""
+        if start == "stationary":
+            return initial_points(p)
+        x = np.full(p.n, 3.0)
+        return FrontSet([FrontEntry(x=x, fx=evaluate(p, x))])
+
+    @staticmethod
+    def assert_capped_before_refinement(res, start):
+        # X0's Jacobian plus the reference point's 5 hyper-diagonal samples
+        if start == "nonstationary":
+            assert res.trace[0].pct_sigma_stationary_in == 0.0
+            assert (res.counters.objective_evals, res.counters.jacobian_evals) == (5, 6)
+
+    @pytest.mark.parametrize("start", ["stationary", "nonstationary"])
+    def test_zero_iteration_time_cap(self, start):
         p = make_problem("JOS_1", 5)
-        X0 = initial_points(p)
+        X0 = self.capped_start(p, start)
         cfg = FDConfig(wall_clock_limit=0.0, sigma=1e-2, sigma_decreasing=True)
         res = run(p, X0, cfg)
         assert res.stop_reason == "time_cap"
         self.assert_untouched_start(res, cfg, p, X0)
+        self.assert_capped_before_refinement(res, start)
 
     def test_time_cap_on_a_growing_front(self):
         p = make_problem("CEC09_8", 10)
@@ -283,13 +302,15 @@ class TestStopRules:
         assert res.trace[-1].front_size_out == len(res.front)
         assert res.trace[-1].hypervolume_value == front_hypervolume(res.front, res.reference_point)
 
-    def test_zero_iteration_cap(self):
+    @pytest.mark.parametrize("start", ["stationary", "nonstationary"])
+    def test_zero_iteration_cap(self, start):
         p = make_problem("JOS_1", 5)
-        X0 = initial_points(p)
+        X0 = self.capped_start(p, start)
         cfg = FDConfig(max_iterations=0, sigma=1e-2, sigma_decreasing=True)
         res = run(p, X0, cfg)
         assert res.stop_reason == "iteration_cap"
         self.assert_untouched_start(res, cfg, p, X0)
+        self.assert_capped_before_refinement(res, start)
 
     def test_theta_threshold_on_common_minimum(self):
         # both objectives minimized at the same point: nothing to refine or explore
@@ -314,6 +335,23 @@ class TestStopRules:
     def test_empty_start_rejected(self):
         with pytest.raises(ValueError):
             run(make_problem("JOS_1", 2), FrontSet([]), FDConfig())
+
+    @pytest.mark.parametrize(
+        "image",
+        [[np.inf, 1.0], [np.nan, 1.0], [1.0], [1.0, 1.0, 1.0]],
+        ids=["inf", "nan", "one_value", "three_values"],
+    )
+    def test_x0_images_must_be_m_finite_values(self, image):
+        # rejected before the problem's callables see a single call
+        raw = make_problem("JOS_1", 5)
+
+        def refuse(x):
+            raise AssertionError("callable reached")
+
+        p = dataclasses.replace(raw, objective=refuse, jacobian=refuse)
+        X0 = FrontSet([FrontEntry(x=np.zeros(5), fx=image)])
+        with pytest.raises(ValueError, match="every X0 image must be 2 finite values"):
+            run(p, X0, FDConfig(check_invariants=True))
 
 
 class TestRunInvariants:

@@ -7,8 +7,6 @@ from frontdescent import (
     box_gain_lower_bound,
     hv_monte_carlo,
     hypervolume,
-    hypervolume_2d,
-    hypervolume_3d,
     reference_point_cross_solver,
 )
 
@@ -28,25 +26,25 @@ class TestReferencePoint:
 
 class TestHypervolume2d:
     def test_unit_box(self):
-        assert hypervolume_2d([[0, 0]], [1, 1]) == 1.0
+        assert hypervolume([[0, 0]], [1, 1]) == 1.0
 
     def test_three_point_staircase(self):
-        assert hypervolume_2d([(0, 2), (1, 1), (2, 0)], (3, 3)) == 6.0
+        assert hypervolume([(0, 2), (1, 1), (2, 0)], (3, 3)) == 6.0
 
     def test_dominated_point_ignored(self):
-        assert hypervolume_2d([(0, 2), (1, 1), (2, 0), (1.5, 1.5)], (3, 3)) == 6.0
+        assert hypervolume([(0, 2), (1, 1), (2, 0), (1.5, 1.5)], (3, 3)) == 6.0
 
     def test_duplicates_ignored(self):
-        assert hypervolume_2d([(0, 2), (0, 2), (2, 0)], (3, 3)) == pytest.approx(
-            hypervolume_2d([(0, 2), (2, 0)], (3, 3))
+        assert hypervolume([(0, 2), (0, 2), (2, 0)], (3, 3)) == pytest.approx(
+            hypervolume([(0, 2), (2, 0)], (3, 3))
         )
 
     def test_image_beyond_reference_rejected(self):
         with pytest.raises(ValueError):
-            hypervolume_2d([(4, 0)], (3, 3))
+            hypervolume([(4, 0)], (3, 3))
 
     def test_empty(self):
-        assert hypervolume_2d(np.empty((0, 2)), (1, 1)) == 0.0
+        assert hypervolume(np.empty((0, 2)), (1, 1)) == 0.0
 
     @given(
         st.lists(
@@ -61,30 +59,30 @@ class TestHypervolume2d:
         shuffled = list(points)
         rnd.shuffle(shuffled)
         zeta = (2.0, 2.0)
-        assert hypervolume_2d(points, zeta) == pytest.approx(
-            hypervolume_2d(shuffled, zeta), abs=1e-12
+        assert hypervolume(points, zeta) == pytest.approx(
+            hypervolume(shuffled, zeta), abs=1e-12
         )
 
 
 class TestHypervolume3d:
     def test_unit_cube(self):
-        assert hypervolume_3d([[0, 0, 0]], [1, 1, 1]) == 1.0
+        assert hypervolume([[0, 0, 0]], [1, 1, 1]) == 1.0
 
     def test_two_point_union_vs_monte_carlo(self):
         images = [(0, 0, 1), (1, 1, 0)]
         zeta = (2, 2, 2)
-        exact = hypervolume_3d(images, zeta)
+        exact = hypervolume(images, zeta)
         est, se = hv_monte_carlo(images, zeta, ideal=(0, 0, 0), samples=10**6, seed=7)
         assert abs(exact - est) <= 3.0 * se
 
     def test_duplicates(self):
-        a = hypervolume_3d([(0, 0, 0), (0, 0, 0), (1, 1, 1)], (2, 2, 2))
-        b = hypervolume_3d([(0, 0, 0), (1, 1, 1)], (2, 2, 2))
+        a = hypervolume([(0, 0, 0), (0, 0, 0), (1, 1, 1)], (2, 2, 2))
+        b = hypervolume([(0, 0, 0), (1, 1, 1)], (2, 2, 2))
         assert a == pytest.approx(b)
 
     def test_inclusion_exclusion_two_boxes(self):
         # [0,2]x[0,2]x[1,2] plus [1,2]^3 minus intersection [1,2]^2 x [1,2]
-        exact = hypervolume_3d([(0, 0, 1), (1, 1, 0)], (2, 2, 2))
+        exact = hypervolume([(0, 0, 1), (1, 1, 0)], (2, 2, 2))
         assert exact == pytest.approx(4.0 + 2.0 - 1.0)
 
     def test_dispatch(self):
@@ -92,6 +90,26 @@ class TestHypervolume3d:
         assert hypervolume([[0, 0, 0]], [1, 1, 1]) == 1.0
         with pytest.raises(ValueError):
             hypervolume([[0, 0, 0, 0]], [1, 1, 1, 1])
+
+
+class TestUnitCellOracle:
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_counts_dominated_unit_cells(self, data):
+        # integer images below an integer reference point: the volume is the
+        # number of unit cells [c, c + 1] whose corner c some image dominates.
+        # Coarse values give ties, duplicates and images on the reference plane
+        m = data.draw(st.sampled_from([2, 3]))
+        zeta = data.draw(st.tuples(*[st.integers(1, 5)] * m))
+        images = data.draw(
+            st.lists(st.tuples(*[st.integers(0, z) for z in zeta]), min_size=1, max_size=15)
+        )
+        Y = np.array(images, dtype=float)
+        corners = np.stack(
+            np.meshgrid(*[np.arange(z) for z in zeta], indexing="ij"), axis=-1
+        ).reshape(-1, m)
+        dominated = np.all(corners[:, None, :] >= Y[None, :, :], axis=2).any(axis=1)
+        assert hypervolume(Y, np.array(zeta, dtype=float)) == float(dominated.sum())
 
 
 class TestMonteCarlo:
@@ -130,7 +148,7 @@ class TestMonteCarlo:
         for _ in range(5):
             Y = rng.uniform(0.1, 0.9, size=(6, 2))
             zeta = (1.0, 1.0)
-            exact = hypervolume_2d(Y, zeta)
+            exact = hypervolume(Y, zeta)
             est, se = hv_monte_carlo(Y, zeta, ideal=(0, 0), samples=200_000, seed=3)
             assert abs(exact - est) <= 3.0 * se
 
@@ -158,8 +176,8 @@ class TestBoxGain:
             i = int(rng.integers(0, 5))
             gap = rng.uniform(0.05, 0.4, 2)
             new = Y[i] - gap
-            before = hypervolume_2d(Y, zeta)
+            before = hypervolume(Y, zeta)
             Y2 = Y.copy()
             Y2[i] = new
-            after = hypervolume_2d(Y2, zeta)
+            after = hypervolume(Y2, zeta)
             assert after - before >= box_gain_lower_bound(Y[i], new) - 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from frontdescent import (
+    EvaluationError,
     evaluate,
     gradient_check,
     initial_points,
@@ -185,6 +187,40 @@ class TestDiagonalImages:
     def test_includes_dominated_samples(self):
         p = make_problem("JOS_1", 5)
         assert diagonal_images(p).shape[0] > len(initial_points(p))
+
+    def test_unusable_samples_skipped(self):
+        # JOS_1 n=5 samples x = -10, -5, 0, 5, 10 (times 1); a sample whose
+        # values are not finite or whose callables raise FloatingPointError
+        # or ValueError is left out
+        raw = make_problem("JOS_1", 5)
+
+        def objective(x):
+            if x[0] == -5.0:
+                raise FloatingPointError("overflow")
+            return np.full(2, np.nan) if x[0] == -10.0 else raw.objective(x)
+
+        def jac(x):
+            if x[0] == 5.0:
+                raise ValueError("domain")
+            return np.full((2, 5), np.inf) if x[0] == 10.0 else raw.jacobian(x)
+
+        p = dataclasses.replace(raw, objective=objective, jacobian=jac)
+        assert np.array_equal(diagonal_images(p), [raw.objective(np.zeros(5))])
+        assert np.array_equal(initial_points(p).points(), [np.zeros(5)])
+
+    @pytest.mark.parametrize("name", ["objective", "jacobian"])
+    def test_wrong_shape_raises(self, name):
+        # a third objective value or a missing Jacobian row is an error, as in
+        # every other evaluation, not a sample to skip or an image to keep
+        raw = make_problem("JOS_1", 5)
+        wrong = {
+            "objective": lambda x: np.append(raw.objective(x), 0.0),
+            "jacobian": lambda x: raw.jacobian(x)[:1],
+        }
+        p = dataclasses.replace(raw, **{name: wrong[name]})
+        for sample in (diagonal_images, initial_points):
+            with pytest.raises(EvaluationError, match="shape"):
+                sample(p)
 
 
 def golden_record(name):
